@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-tier1 bench bench-core bench-parallel campaign-scale perf-guard resume-smoke examples verify-proofs figure1 chaos byzantine-smoke sweep metrics-smoke trace-smoke shrink-smoke docs-check clean
+.PHONY: install test test-tier1 bench bench-core bench-parallel campaign-scale perf-guard resume-smoke examples verify-proofs figure1 chaos byzantine-smoke sweep metrics-smoke trace-smoke shrink-smoke golden docs-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -120,6 +120,14 @@ trace-smoke:
 # tests/corpus/ is replayed by tier-1 (tests/triage/test_corpus.py).
 shrink-smoke:
 	$(PYTHON) -m pytest tests/triage/test_shrink_smoke.py -q
+
+# Regenerate the golden output set under tests/golden/ (a chaos campaign
+# with the Byzantine band, the sweep tables, a metrics batch and a small
+# measured Figure 1).  Tier-1 tests/golden/test_golden.py diffs fresh
+# builds at --jobs 1 and 2 against these files; run this only when an
+# output change is intentional, and commit the diff with it.
+golden:
+	$(PYTHON) -m tests.golden.build
 
 # Docs-drift guard: every CLI verb and every src/repro package must be
 # mentioned in the docs tree, and every module must carry a docstring.

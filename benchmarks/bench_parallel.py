@@ -127,11 +127,13 @@ def _timed_campaign(**kwargs):
     return report, time.perf_counter() - start
 
 
-def _legacy_run_supervised(
-    fn, payloads, jobs=None, chunk=None, on_result=None, on_complete=None,
-    **_ignored,
+def _legacy_campaign_engine(
+    fn, payloads, jobs=None, on_result=None, chunk=None, on_complete=None,
+    **_supervision,
 ):
-    """Legacy engine behind the supervisor's signature (measurement only)."""
+    """The legacy engine behind ``run_tasks``' campaign call (measurement
+    only): ``on_complete`` fires just before ``on_result``, in task
+    order, and the timeout/quarantine arguments are ignored."""
 
     def emit(index, result):
         if on_complete is not None:
@@ -144,12 +146,12 @@ def _legacy_run_supervised(
 
 def _timed_legacy_campaign(**kwargs):
     """The same campaign routed through the legacy engine."""
-    original = campaign_mod.run_supervised
-    campaign_mod.run_supervised = _legacy_run_supervised
+    original = campaign_mod.run_tasks
+    campaign_mod.run_tasks = _legacy_campaign_engine
     try:
         return _timed_campaign(**kwargs)
     finally:
-        campaign_mod.run_supervised = original
+        campaign_mod.run_tasks = original
 
 
 def _dispatch_payloads():

@@ -5,7 +5,7 @@ campaign killed at an arbitrary point (SIGKILL — no cleanup handler
 runs) and resumed from its journal must produce a final JSON report
 byte-identical to the uninterrupted campaign, re-executing only the
 runs the journal is missing.  Unit tests exercise the pieces
-(supervisor, journal, ``run_campaign``); this smoke exercises the whole
+(engine, journal, ``run_campaign``); this smoke exercises the whole
 thing the way an operator would — real subprocesses, a real kill, the
 real CLI.
 

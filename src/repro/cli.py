@@ -249,7 +249,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     from repro.parallel.cache import RunCache
     from repro.parallel.journal import CampaignJournal
-    from repro.parallel.supervisor import resolve_task_timeout
+    from repro.parallel.pool import resolve_task_timeout
 
     if args.seeds < 1:
         print("error: --seeds must be >= 1 (a zero-run campaign proves nothing)")

@@ -45,9 +45,8 @@ from repro.obs.tracing import TraceCollector, TRACE_TAIL_EVENTS
 from repro.parallel.cache import RunCache
 from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.journal import CampaignJournal
-from repro.parallel.pool import UNSET
+from repro.parallel.pool import DEFAULT_MAX_RETRIES, UNSET, run_tasks
 from repro.parallel.stats import ENGINE_STATS
-from repro.parallel.supervisor import DEFAULT_MAX_RETRIES, run_supervised
 from repro.registers.base import SystemHandle
 from repro.registers.catalog import build_client_system
 from repro.util.rng import SeededRNG
@@ -431,7 +430,7 @@ class ChaosRunResult:
     #: the last :data:`~repro.obs.tracing.TRACE_TAIL_EVENTS` events.
     trace_tail: Tuple[dict, ...] = ()
     #: True when the run never completed: it exceeded the per-run
-    #: ``--task-timeout`` on every attempt and the supervisor recorded
+    #: ``--task-timeout`` on every attempt and the engine recorded
     #: this placeholder instead of aborting the campaign.  Quarantined
     #: results are journaled but never cached (the cache key does not
     #: include the timeout policy) and never claim anything about
@@ -1063,7 +1062,7 @@ def campaign_task_key(payload: dict) -> str:
 
 
 def quarantined_result(payload: dict, attempts: int) -> ChaosRunResult:
-    """Placeholder result for a run the supervisor gave up on.
+    """Placeholder result for a run the engine gave up on.
 
     The run executed ``attempts`` times and exceeded the per-run
     timeout every time, so nothing is known about it: no safety claim
@@ -1164,7 +1163,7 @@ def run_campaign(
     whose key (parameters + seed + code fingerprint) is already stored;
     a fully warm cache executes zero simulator runs.
 
-    ``task_timeout`` (``REPRO_TASK_TIMEOUT``) arms the supervisor: a
+    ``task_timeout`` (``REPRO_TASK_TIMEOUT``) arms the engine's timeout: a
     run past the per-run wall clock has its worker killed and is
     retried with backoff; after ``max_retries`` timed-out executions it
     is recorded with a ``quarantined`` verdict and the campaign
@@ -1179,7 +1178,7 @@ def run_campaign(
 
     ``fail_fast`` stops at the first unacceptable run; the report then
     holds exactly the runs up to and including the failure.  The
-    supervisor cancels in-flight work on stop, so fail-fast runs at
+    engine cancels in-flight work on stop, so fail-fast runs at
     full parallelism — the *set* of reported runs is deterministic
     because results are committed in task order.
 
@@ -1222,7 +1221,7 @@ def run_campaign(
         """Stream progress for the contiguous completed prefix, in order.
 
         Returns True once an unacceptable run was emitted under
-        ``fail_fast`` — the supervisor's stop signal.
+        ``fail_fast`` — the engine's stop signal.
         """
         nonlocal emitted, stopped
         while (
@@ -1260,7 +1259,7 @@ def run_campaign(
 
     if not emit_ready_prefix() and pending:
         try:
-            run_supervised(
+            run_tasks(
                 _campaign_task,
                 [tasks[index] for index in pending],
                 jobs=jobs,

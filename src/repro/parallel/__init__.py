@@ -3,14 +3,17 @@
 Every heavy workload in this repository — chaos campaigns, theorem
 benches, parameter sweeps — is a collection of *independent* seeded
 runs: each run is a pure function of ``(algorithm, N, f, |V|, seed,
-fault config)``.  This package exploits that in three layers:
+fault config)``.  This package exploits that in layers:
 
-* :mod:`repro.parallel.pool` — a **persistent** ``multiprocessing``
-  worker pool (created once per process, reused by every
-  ``run_tasks`` call) that fans tasks out in **chunks** and
-  reassembles results **in task order** (results are collected keyed
-  by task index), so a 4-worker campaign report is byte-identical to
-  the serial one.  ``--jobs 1`` (the default) runs in-process with no
+* :mod:`repro.parallel.pool` — the one dispatch engine,
+  :func:`run_tasks`: a **persistent** ``multiprocessing`` worker pool
+  (created once per process, reused by every call) that fans tasks out
+  in **chunks** and reassembles results **in task order**, so a
+  4-worker campaign report is byte-identical to the serial one.  It
+  supervises what it dispatches: per-run wall-clock timeouts
+  (``REPRO_TASK_TIMEOUT``), bounded retry with deterministic backoff,
+  poison-run quarantine, worker-death recovery and fail-fast
+  cancellation.  ``--jobs 1`` (the default) runs in-process with no
   pool at all.
 * :mod:`repro.parallel.codec` — the shared-prefix payload codec:
   homogeneous task payloads ship as one per-chunk context plus small
@@ -20,10 +23,6 @@ fault config)``.  This package exploits that in three layers:
   and a fingerprint of the ``src/repro`` source tree
   (:mod:`repro.parallel.fingerprint`), so results survive re-runs but
   never survive a code change.
-* :mod:`repro.parallel.supervisor` — self-healing dispatch over the
-  pool: per-run wall-clock timeouts (``REPRO_TASK_TIMEOUT``), kill and
-  replace hung/dead workers, bounded retry with deterministic backoff,
-  poison-run quarantine, and fail-fast cancellation.
 * :mod:`repro.parallel.journal` — the crash-safe campaign journal
   (``repro.journal/1``) under ``benchmarks/.journal/``: an append-only
   record of completed runs, so ``repro chaos --resume`` continues a
@@ -48,21 +47,18 @@ from repro.parallel.journal import (
 )
 from repro.parallel.pool import (
     CHUNK_ENV,
+    DEFAULT_MAX_RETRIES,
     JOBS_ENV,
+    TASK_TIMEOUT_ENV,
     UNSET,
     pool_workers,
     resolve_chunk,
     resolve_jobs,
+    resolve_task_timeout,
     run_tasks,
     shutdown_pool,
 )
 from repro.parallel.stats import ENGINE_STATS, EngineStats, warn_once
-from repro.parallel.supervisor import (
-    DEFAULT_MAX_RETRIES,
-    TASK_TIMEOUT_ENV,
-    resolve_task_timeout,
-    run_supervised,
-)
 
 __all__ = [
     "CHUNK_ENV",
@@ -84,7 +80,6 @@ __all__ = [
     "resolve_chunk",
     "resolve_jobs",
     "resolve_task_timeout",
-    "run_supervised",
     "run_tasks",
     "shutdown_pool",
     "warn_once",

@@ -17,8 +17,9 @@ Four counters, all process-wide (:data:`ENGINE_STATS`):
 * ``parallel.quarantined`` — slots that exhausted ``--max-retries``
   and were recorded with a ``quarantined`` verdict instead of a result;
 * ``parallel.fallbacks`` — times the engine abandoned the worker pool
-  and completed work serially in-process (pool creation refused,
-  worker death, repeated rebuild failures).
+  and completed work serially in-process (pool creation refused, or
+  the pool kept failing past the rebuild limit; a single worker death is
+  recovered by a rebuild and counts nothing).
 
 :func:`repro.faults.campaign.run_campaign` snapshots the counters
 around a campaign and publishes the delta as the report's ``runtime``

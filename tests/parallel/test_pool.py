@@ -2,18 +2,27 @@
 
 Also the persistence contract (one pool per process, reused across
 ``run_tasks`` calls, grown by recreation) and the degradation contract
-(sandboxed semaphores or a mid-flight pool failure fall back to
-in-process serial execution with identical output).
+(sandboxed semaphores fall back to in-process serial execution with
+identical output; a dead worker is replaced and its chunks re-run; a
+task error propagates without counting as a pool failure).  The
+timeout, retry, quarantine and cancellation contract is in
+``test_supervisor.py``.
 """
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.parallel.pool as pool_mod
 from repro.parallel import (
     CHUNK_ENV,
+    ENGINE_STATS,
     JOBS_ENV,
+    TASK_TIMEOUT_ENV,
     UNSET,
     pool_workers,
     resolve_chunk,
@@ -21,6 +30,12 @@ from repro.parallel import (
     run_tasks,
     shutdown_pool,
 )
+from repro.parallel.stats import reset_warnings
+
+REPO = Path(__file__).resolve().parents[2]
+
+#: This process; forked pool workers inherit the value but not the pid.
+_PARENT_PID = os.getpid()
 
 
 def square(x):
@@ -40,29 +55,86 @@ CALLS = []
 
 
 def record_call(payload):
-    """In-process call counter (only meaningful under a fake pool)."""
+    """Call counter (only sees calls made in this process)."""
     CALLS.append(payload)
     return None
+
+
+def boom_in_pool(payload):
+    """Raises for task 1; records any call made in the parent process."""
+    if os.getpid() == _PARENT_PID:
+        CALLS.append(payload)
+    if payload == 1:
+        raise ValueError(f"task {payload} is broken")
+    return payload
+
+
+def die_once(payload):
+    """Kills its worker process on first execution, then succeeds."""
+    if payload["die"] and not os.path.exists(payload["marker"]):
+        with open(payload["marker"], "w", encoding="utf-8"):
+            pass
+        os._exit(1)
+    return payload["value"] * payload["value"]
+
+
+def die_in_workers(payload):
+    """Kills every pool worker that runs it; succeeds in the parent."""
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return payload * payload
+
+
+_ISOLATED_BATCH = """
+import json, sys
+from repro.parallel import ENGINE_STATS, run_tasks
+from tests.parallel import test_pool
+before = ENGINE_STATS.snapshot()
+emitted = []
+results = run_tasks(
+    getattr(test_pool, sys.argv[1]), json.loads(sys.argv[2]), jobs=2, chunk=2,
+    on_result=lambda index, result: emitted.append(index),
+)
+stats = ENGINE_STATS.delta_since(before)
+print(json.dumps({"results": results, "emitted": emitted, "stats": stats}))
+"""
+
+
+def run_isolated(fn_name, payloads):
+    """``run_tasks(jobs=2, chunk=2)`` in a fresh interpreter, no timeout.
+
+    Worker-death tests run there so that an engine that never notices
+    the death fails at the 60 s kill instead of hanging the suite.
+    Returns ``(results, engine counter delta, stderr)`` after checking
+    that ``on_result`` fired once per task, in task order.
+    """
+    env = dict(os.environ)
+    env.pop(TASK_TIMEOUT_ENV, None)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _ISOLATED_BATCH, fn_name, json.dumps(payloads)],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["emitted"] == list(range(len(payloads)))
+    return out["results"], out["stats"], proc.stderr
 
 
 class _InProcessPool:
     """A fake pool running chunks in-process — call counts are visible."""
 
-    def imap_unordered(self, fn, iterable):
-        return (fn(item) for item in iterable)
-
-
-class _DyingPool:
-    """A fake pool that delivers some chunks, then dies mid-flight."""
-
-    def __init__(self, deliver_chunks):
-        self.deliver_chunks = deliver_chunks
-
-    def imap_unordered(self, fn, iterable):
-        for i, item in enumerate(iterable):
-            if i >= self.deliver_chunks:
-                raise RuntimeError("worker died mid-flight")
-            yield fn(item)
+    def apply_async(self, fn, args, callback, error_callback):
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            error_callback(exc)
+        else:
+            callback(result)
 
 
 class TestResolveJobs:
@@ -251,37 +323,35 @@ class TestDegradation:
         assert results == [4, 9]
         assert seen == [0, 1]
 
-    def test_worker_death_fills_remaining_serially(self, monkeypatch):
-        # First chunk delivered, then the pool dies: the engine must
-        # discard the pool, compute what's missing in-process, and keep
-        # the on_result order strict with no replays.
+    def test_worker_death_requeues_lost_chunks(self, tmp_path):
+        # One task kills its worker.  multiprocessing replaces the
+        # worker within milliseconds, so the engine must notice the
+        # changed worker PIDs, rebuild the pool and re-run the lost
+        # chunks — with no timeout armed, and without a fallback.
+        marker = tmp_path / "died"
+        payloads = [
+            {"marker": str(marker), "die": i == 5, "value": i}
+            for i in range(12)
+        ]
+        results, stats, err = run_isolated("die_once", payloads)
+        assert marker.exists()  # the worker really died
+        assert results == [i * i for i in range(12)]
+        assert stats["parallel.fallbacks"] == 0
+        assert err.count("died mid-flight") == 1
+
+    def test_task_exception_propagates(self, capsys):
+        # A task that raises is a task bug, not a pool failure: it
+        # propagates, no fallback is counted, no "died mid-flight"
+        # warning is printed, and no task is re-run in the parent.
         shutdown_pool()
-        monkeypatch.setattr(
-            pool_mod, "get_pool", lambda workers: _DyingPool(deliver_chunks=1)
-        )
-        seen = []
-        results = run_tasks(
-            square,
-            list(range(7)),
-            jobs=2,
-            chunk=2,
-            on_result=lambda i, r: seen.append((i, r)),
-        )
-        assert results == [i * i for i in range(7)]
-        assert seen == [(i, i * i) for i in range(7)]
-        assert pool_workers() == 0  # the broken pool was discarded
-
-    def test_task_exception_propagates(self, monkeypatch):
-        # A task that raises is a task bug, not a pool failure: the
-        # serial fallback re-raises it instead of swallowing it.
-        shutdown_pool()
-        monkeypatch.setattr(pool_mod, "get_pool", lambda workers: _InProcessPool())
-
-        def boom(payload):
-            raise ValueError(f"task {payload} is broken")
-
-        with pytest.raises(ValueError, match="task 0 is broken"):
-            run_tasks(boom, list(range(4)), jobs=2)
+        reset_warnings()
+        CALLS.clear()
+        before = ENGINE_STATS.snapshot()
+        with pytest.raises(ValueError, match="task 1 is broken"):
+            run_tasks(boom_in_pool, list(range(4)), jobs=2, chunk=1)
+        assert ENGINE_STATS.delta_since(before)["parallel.fallbacks"] == 0
+        assert "died mid-flight" not in capsys.readouterr().err
+        assert CALLS == []
 
 
 class TestFallbackObservability:
@@ -292,8 +362,6 @@ class TestFallbackObservability:
     def test_pool_create_failure_counts_and_warns_once(
         self, monkeypatch, capsys
     ):
-        from repro.parallel.stats import ENGINE_STATS, reset_warnings
-
         shutdown_pool()
         reset_warnings()
 
@@ -314,18 +382,12 @@ class TestFallbackObservability:
         assert "worker pool unavailable" not in capsys.readouterr().err
         reset_warnings()
 
-    def test_pool_death_counts_fallback(self, monkeypatch, capsys):
-        from repro.parallel.stats import ENGINE_STATS, reset_warnings
-
-        shutdown_pool()
-        reset_warnings()
-        monkeypatch.setattr(
-            pool_mod, "get_pool", lambda workers: _DyingPool(deliver_chunks=1)
-        )
-        before = ENGINE_STATS.get("fallbacks")
-        assert run_tasks(square, list(range(6)), jobs=2, chunk=2) == [
-            i * i for i in range(6)
-        ]
-        assert ENGINE_STATS.get("fallbacks") == before + 1
-        assert "died mid-flight" in capsys.readouterr().err
-        reset_warnings()
+    def test_pool_death_counts_fallback(self):
+        # Workers that keep dying: after the rebuild limit the engine
+        # stops rebuilding, counts one fallback, warns, and finishes
+        # the batch serially in the parent with identical results.
+        results, stats, err = run_isolated("die_in_workers", list(range(6)))
+        assert results == [i * i for i in range(6)]
+        assert stats["parallel.fallbacks"] == 1
+        assert err.count("died mid-flight") == 1
+        assert "worker pool kept failing" in err

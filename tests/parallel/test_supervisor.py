@@ -1,9 +1,9 @@
-"""The supervisor's survival contract: timeouts, retry, quarantine.
+"""The engine's supervision contract: timeouts, retry, quarantine.
 
-``run_supervised`` must keep the engine's byte-determinism contract
-(results in task order, ``on_result`` over the contiguous prefix) while
-adding what the bare pool lacks: a hung task is killed at the per-run
-timeout and retried with backoff, a poison task is quarantined after
+Supervised ``run_tasks`` keeps the byte-determinism contract (results
+in task order, ``on_result`` over the contiguous prefix, ``on_complete``
+for every slot) while a hung task is killed at the per-run timeout and
+retried with backoff, a poison task is quarantined after
 ``max_retries`` timed-out executions, and ``on_result`` can cancel the
 batch.  The hang tests use a real fork pool and real wall-clock
 timeouts — small ones, so the suite stays fast.
@@ -14,14 +14,18 @@ import time
 
 import pytest
 
-from repro.parallel.pool import UNSET, run_tasks, shutdown_pool
-from repro.parallel.stats import EngineStats, reset_warnings
-from repro.parallel.supervisor import (
+import repro.parallel.pool as pool_mod
+from repro.parallel.pool import (
+    BACKOFF_CAP,
     TASK_TIMEOUT_ENV,
+    UNSET,
     backoff_delay,
+    pool_workers,
     resolve_task_timeout,
-    run_supervised,
+    run_tasks,
+    shutdown_pool,
 )
+from repro.parallel.stats import ENGINE_STATS, reset_warnings
 
 
 def square(x):
@@ -72,35 +76,29 @@ class TestResolveTaskTimeout:
 
 class TestBackoff:
     def test_deterministic_doubling(self):
-        assert backoff_delay(1, base=0.05) == 0.05
-        assert backoff_delay(2, base=0.05) == 0.10
-        assert backoff_delay(3, base=0.05) == 0.20
+        assert backoff_delay(1) == 0.05
+        assert backoff_delay(2) == 0.10
+        assert backoff_delay(3) == 0.20
 
     def test_capped(self):
-        assert backoff_delay(30, base=0.05, cap=2.0) == 2.0
+        assert backoff_delay(30) == BACKOFF_CAP == 2.0
 
 
 class TestEquivalence:
-    """Without timeouts or failures the supervisor is run_tasks."""
+    """Without timeouts or failures, pooled output equals serial output."""
 
     def test_empty(self):
-        assert run_supervised(square, []) == []
-
-    def test_serial_matches_run_tasks(self):
-        payloads = list(range(9))
-        assert run_supervised(square, payloads, jobs=1) == run_tasks(
-            square, payloads, jobs=1
-        )
+        assert run_tasks(square, []) == []
 
     @pytest.mark.parametrize("jobs,chunk", [(2, 1), (3, 2), (4, 0)])
     def test_parallel_matches_serial(self, jobs, chunk):
         payloads = list(range(11))
-        serial = run_supervised(square, payloads, jobs=1)
-        assert run_supervised(square, payloads, jobs=jobs, chunk=chunk) == serial
+        serial = run_tasks(square, payloads, jobs=1)
+        assert run_tasks(square, payloads, jobs=jobs, chunk=chunk) == serial
 
     def test_on_result_strict_order(self):
         seen = []
-        run_supervised(
+        run_tasks(
             square,
             list(range(12)),
             jobs=3,
@@ -111,7 +109,7 @@ class TestEquivalence:
 
     def test_on_complete_covers_every_slot(self):
         completed = []
-        run_supervised(
+        run_tasks(
             square,
             list(range(10)),
             jobs=3,
@@ -124,18 +122,18 @@ class TestEquivalence:
     def test_timeout_engages_pool_even_at_one_worker(self):
         # A single in-process worker cannot be interrupted, so an armed
         # timeout must route through the pool even at jobs=1.
-        stats = EngineStats()
-        results = run_supervised(
-            square, list(range(5)), jobs=1, task_timeout=30.0, stats=stats
-        )
+        shutdown_pool()
+        before = ENGINE_STATS.snapshot()
+        results = run_tasks(square, list(range(5)), jobs=1, task_timeout=30.0)
         assert results == [i * i for i in range(5)]
-        assert stats.get("timeouts") == 0
+        assert pool_workers() >= 1
+        assert ENGINE_STATS.delta_since(before)["parallel.timeouts"] == 0
 
     def test_task_exception_propagates(self):
         shutdown_pool()
 
         with pytest.raises(ValueError, match="task 1 is broken"):
-            run_supervised(_boom, list(range(4)), jobs=2, chunk=1)
+            run_tasks(_boom, list(range(4)), jobs=2, chunk=1)
 
 
 def _boom(payload):
@@ -149,31 +147,31 @@ class TestTimeoutRetryQuarantine:
         # First execution hangs past the timeout: the worker is killed
         # and the slot re-queued; the retry sees the marker and returns.
         shutdown_pool()
-        stats = EngineStats()
+        before = ENGINE_STATS.snapshot()
         payloads = [
             {"marker": str(tmp_path / "m0"), "value": 3},
             {"marker": str(tmp_path / "present"), "value": 4},
         ]
         with open(payloads[1]["marker"], "w", encoding="utf-8"):
             pass
-        results = run_supervised(
+        results = run_tasks(
             hang_once,
             payloads,
             jobs=2,
             chunk=1,
             task_timeout=0.4,
             max_retries=3,
-            stats=stats,
         )
         assert results == [9, 16]
-        assert stats.get("timeouts") >= 1
-        assert stats.get("retries") >= 1
-        assert stats.get("quarantined") == 0
+        delta = ENGINE_STATS.delta_since(before)
+        assert delta["parallel.timeouts"] >= 1
+        assert delta["parallel.retries"] >= 1
+        assert delta["parallel.quarantined"] == 0
         shutdown_pool()
 
     def test_poison_task_quarantined_campaign_continues(self):
         shutdown_pool()
-        stats = EngineStats()
+        before = ENGINE_STATS.snapshot()
         quarantined = []
 
         def quarantine(index, payload, attempts):
@@ -186,7 +184,7 @@ class TestTimeoutRetryQuarantine:
             {"value": 2},
             {"value": 3},
         ]
-        results = run_supervised(
+        results = run_tasks(
             hang_forever,
             payloads,
             jobs=2,
@@ -194,14 +192,14 @@ class TestTimeoutRetryQuarantine:
             task_timeout=0.4,
             max_retries=2,
             quarantine=quarantine,
-            stats=stats,
         )
         # Every innocent neighbour completed; the poison slot holds the
         # quarantine factory's value after exactly max_retries failures.
         assert results == [0, {"quarantined": 1}, 4, 9]
         assert quarantined == [(1, 2)]
-        assert stats.get("timeouts") >= 2
-        assert stats.get("quarantined") == 1
+        delta = ENGINE_STATS.delta_since(before)
+        assert delta["parallel.timeouts"] >= 2
+        assert delta["parallel.quarantined"] == 1
         shutdown_pool()
 
     def test_poison_chunkmates_survive_singleton_requeue(self):
@@ -209,9 +207,9 @@ class TestTimeoutRetryQuarantine:
         # expires, but its singleton retry succeeds — only the poison
         # run is quarantined.
         shutdown_pool()
-        stats = EngineStats()
+        before = ENGINE_STATS.snapshot()
         payloads = [{"value": 0, "hang": True}, {"value": 5}]
-        results = run_supervised(
+        results = run_tasks(
             hang_forever,
             payloads,
             jobs=1,
@@ -219,16 +217,15 @@ class TestTimeoutRetryQuarantine:
             task_timeout=0.4,
             max_retries=3,
             quarantine=lambda i, p, a: {"quarantined": p["value"]},
-            stats=stats,
         )
         assert results == [{"quarantined": 0}, 25]
-        assert stats.get("quarantined") == 1
+        assert ENGINE_STATS.delta_since(before)["parallel.quarantined"] == 1
         shutdown_pool()
 
     def test_no_quarantine_factory_raises(self):
         shutdown_pool()
         with pytest.raises(TimeoutError, match="exceeded"):
-            run_supervised(
+            run_tasks(
                 hang_forever,
                 [{"value": 1, "hang": True}],
                 jobs=1,
@@ -246,7 +243,7 @@ class TestCancellation:
             seen.append(index)
             return index == 2
 
-        results = run_supervised(
+        results = run_tasks(
             square, list(range(8)), jobs=1, on_result=stop_at_two
         )
         assert seen == [0, 1, 2]
@@ -261,7 +258,7 @@ class TestCancellation:
             seen.append(index)
             return index == 2
 
-        results = run_supervised(
+        results = run_tasks(
             square, list(range(40)), jobs=2, chunk=1, on_result=stop_at_two
         )
         assert seen == [0, 1, 2]
@@ -274,28 +271,25 @@ class TestCancellation:
 
 class TestDegradation:
     def test_pool_failure_falls_back_serially(self, monkeypatch, capsys):
-        import repro.parallel.supervisor as sup_mod
-
         shutdown_pool()
         reset_warnings()
 
         def no_pool(workers):
             raise OSError("no semaphores here")
 
-        monkeypatch.setattr(sup_mod, "get_pool", no_pool)
-        stats = EngineStats()
+        monkeypatch.setattr(pool_mod, "get_pool", no_pool)
+        before = ENGINE_STATS.snapshot()
         seen = []
-        results = run_supervised(
+        results = run_tasks(
             square,
             list(range(6)),
             jobs=2,
             task_timeout=5.0,
             on_result=lambda i, r: seen.append(i),
-            stats=stats,
         )
         assert results == [i * i for i in range(6)]
         assert seen == list(range(6))
-        assert stats.get("fallbacks") == 1
+        assert ENGINE_STATS.delta_since(before)["parallel.fallbacks"] == 1
         err = capsys.readouterr().err
         assert "worker pool unavailable" in err
         assert "cannot be enforced" in err  # the timeout was armed
