@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test test-tier1 bench bench-core bench-parallel campaign-scale perf-guard resume-smoke examples verify-proofs figure1 chaos byzantine-smoke sweep metrics-smoke trace-smoke shrink-smoke golden docs-check clean
+.PHONY: install test test-tier1 bench bench-core bench-parallel campaign-scale perf-guard perfbench resume-smoke examples verify-proofs figure1 chaos byzantine-smoke sweep metrics-smoke trace-smoke shrink-smoke golden docs-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -47,6 +47,22 @@ campaign-scale:
 # tests/perf/test_parallel_regression.py), excluded from tier-1.
 perf-guard:
 	$(PYTHON) -m benchmarks.perf_guard
+
+# End-to-end and per-layer benchmark: every BENCHMARK.json workload at
+# --trace 0 (pass_ms, runs_per_s, setup_s) and --trace 1 (per-layer
+# self time and work counts), for the run length BENCHMARK.json sets.
+# Prints a "# <workload> --trace <t>" line and the run's JSON line for
+# each.  SEED picks the campaign seeds, values and visiting order.
+SEED ?= 1
+perfbench:
+	@seconds=$$($(PYTHON) -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])'); \
+	for w in $$($(PYTHON) -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+		for t in 0 1; do \
+			echo "# $$w --trace $$t"; \
+			out=$$($(PYTHON) perfbench/run.py --workload $$w --seed $(SEED) --seconds $$seconds --trace $$t) || exit 1; \
+			echo "$$out" | tail -n 1; \
+		done; \
+	done
 
 # Tier-2 resilience smoke: run a journaled chaos campaign, SIGKILL it
 # about halfway, resume from the journal, and assert the resumed JSON

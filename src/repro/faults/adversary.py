@@ -240,6 +240,11 @@ class Partition:
 
     Any pid not named in ``groups`` belongs to an implicit "rest"
     group, so isolating a minority is just ``Partition.isolate(pids)``.
+
+    The pid -> group map behind :meth:`side_of` is built once at
+    construction and kept out of the dataclass fields (and out of the
+    pickled state), so equality, hashing, ``repr`` and pickles are
+    those of ``groups`` alone.
     """
 
     groups: Tuple[FrozenSet[str], ...]
@@ -248,14 +253,22 @@ class Partition:
     __clone_shared__ = True
 
     def __post_init__(self) -> None:
-        seen: set = set()
-        for group in self.groups:
-            overlap = seen & group
+        side: Dict[str, int] = {}
+        for index, group in enumerate(self.groups):
+            overlap = group.intersection(side)
             if overlap:
                 raise ConfigurationError(
                     f"partition groups overlap on {sorted(overlap)}"
                 )
-            seen |= group
+            side.update(dict.fromkeys(group, index))
+        object.__setattr__(self, "_side", side)
+
+    def __getstate__(self) -> dict:
+        return {"groups": self.groups}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "groups", state["groups"])
+        self.__post_init__()
 
     @classmethod
     def isolate(cls, pids: Iterable[str]) -> "Partition":
@@ -269,14 +282,12 @@ class Partition:
 
     def side_of(self, pid: str) -> int:
         """Group index of ``pid`` (-1 for the implicit rest group)."""
-        for index, group in enumerate(self.groups):
-            if pid in group:
-                return index
-        return -1
+        return self._side.get(pid, -1)
 
     def crosses(self, src: str, dst: str) -> bool:
         """True iff the channel src->dst crosses the cut."""
-        return self.side_of(src) != self.side_of(dst)
+        side = self._side
+        return side.get(src, -1) != side.get(dst, -1)
 
 
 @dataclass(frozen=True)

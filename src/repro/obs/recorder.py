@@ -15,6 +15,7 @@ cycle.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from repro.obs.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
@@ -52,6 +53,18 @@ def estimate_message_bits(message) -> int:
         else:
             bits += 8 * len(repr(value))
     return bits
+
+
+#: Action kinds that take one message out of a channel.
+_CONSUMING_ACTIONS = frozenset(("deliver", "drop", "lose"))
+
+
+def _storage_bits(process):
+    """``process.storage_bits`` now, or None if it stores nothing."""
+    storage = getattr(process, "storage_bits", None)
+    if storage is None:
+        return None
+    return storage() if callable(storage) else storage
 
 
 class NullObserver:
@@ -148,7 +161,7 @@ class SimObserver:
         Destination :class:`SpanTracker`; a fresh one by default.
     sample_storage:
         When True (default), sample per-server storage occupancy in
-        bits after every action into the ``storage.*`` time series.
+        bits at every action into the ``storage.*`` time series.
     record_wall:
         Forwarded to the span tracker; enables wall-clock capture for
         ``repro profile``.  Leave False for deterministic artifacts.
@@ -157,6 +170,15 @@ class SimObserver:
         every hook additionally emits a causally-annotated
         :class:`~repro.obs.tracing.TraceEvent`.  ``None`` (the default)
         keeps tracing off at the cost of one truth test per hook.
+
+    Sampling is incremental.  The in-flight total is kept as a running
+    count (+1 per send or duplicate, -1 per ``deliver``/``drop``/``lose``
+    action), and a server's ``storage_bits`` is re-read only when its
+    state may have changed since the last sample: it received a
+    message, invoked an operation, crashed or recovered.  The first
+    sample of a World (a fork included) and any change to its process
+    set trigger one full count instead.  The World is held by weak
+    reference only, so ``World.fork`` can deep-copy the observer.
     """
 
     enabled = True
@@ -173,14 +195,70 @@ class SimObserver:
         self.spans = spans if spans is not None else SpanTracker(record_wall=record_wall)
         self.sample_storage = sample_storage
         self.tracer = tracer
+        # Incremental sampling state, set by ``_resync``.
+        self._sampled = None  # weakref to the World last sampled
+        self._process_count = 0
+        self._in_flight = 0
+        self._bits: dict = {}  # pid -> storage bits, in process order
+        self._stale: set = set()  # pids whose bits may be out of date
+        self._total_bits = 0
+        self._max_bits = 0
 
     def __bool__(self) -> bool:
         return True
+
+    def __getstate__(self) -> dict:
+        # A weak reference does not pickle; a copy resynchronises on
+        # its first sample anyway.
+        state = self.__dict__.copy()
+        state["_sampled"] = None
+        return state
+
+    # -- incremental sampling ------------------------------------------------
+
+    def _resync(self, world) -> None:
+        """Count everything afresh and adopt ``world`` as the sampled World."""
+        processes = world.processes
+        self._sampled = weakref.ref(world)
+        self._process_count = len(processes)
+        self._in_flight = sum(len(ch) for ch in world.channels.values())
+        bits = {}
+        for pid, process in processes.items():
+            value = _storage_bits(process)
+            if value is not None:
+                bits[pid] = value
+        self._bits = bits
+        self._stale.clear()
+        self._retotal()
+
+    def _refresh(self, processes) -> None:
+        """Re-read the stale pids' storage; re-total if any stores bits."""
+        bits = self._bits
+        touched = False
+        for pid in self._stale:
+            if pid in bits:
+                bits[pid] = _storage_bits(processes[pid])
+                touched = True
+        self._stale.clear()
+        if touched:
+            self._retotal()
+
+    def _retotal(self) -> None:
+        """Total and per-server max, summed in process order."""
+        total_bits = 0
+        max_bits = 0
+        for bits in self._bits.values():
+            total_bits += bits
+            if bits > max_bits:
+                max_bits = bits
+        self._total_bits = total_bits
+        self._max_bits = max_bits
 
     # -- World hooks ---------------------------------------------------------
 
     def on_send(self, world, src: str, dst: str, message) -> None:
         """Record one message enqueued from ``src`` to ``dst``."""
+        self._in_flight += 1
         reg = self.registry
         bits = estimate_message_bits(message)
         reg.inc("sim.messages_sent")
@@ -194,24 +272,31 @@ class SimObserver:
         """Record one executed action (the simulator just took a step)."""
         reg = self.registry
         step = record.step
-        reg.inc(f"sim.actions.{record.kind}")
+        kind = record.kind
+        reg.inc(f"sim.actions.{kind}")
         reg.counter("sim.steps").value = step
 
-        in_flight = sum(len(ch) for ch in world.channels.values())
+        stale = self._stale
+        if kind == "crash" or kind == "recover":
+            stale.add(record.src)  # ``failed`` flipped before this sample
+        sampled = self._sampled
+        if (
+            sampled is None
+            or sampled() is not world
+            or len(world.processes) != self._process_count
+        ):
+            self._resync(world)
+        elif kind in _CONSUMING_ACTIONS:
+            self._in_flight -= 1
+        in_flight = self._in_flight
         reg.gauge("sim.messages_in_flight").set(in_flight)
         reg.timeseries("sim.messages_in_flight").record(step, in_flight)
 
         if self.sample_storage:
-            total_bits = 0
-            max_bits = 0
-            for proc in world.processes.values():
-                storage = getattr(proc, "storage_bits", None)
-                if storage is None:
-                    continue
-                bits = storage() if callable(storage) else storage
-                total_bits += bits
-                if bits > max_bits:
-                    max_bits = bits
+            if stale:
+                self._refresh(world.processes)
+            total_bits = self._total_bits
+            max_bits = self._max_bits
             reg.gauge("storage.total_bits").set(total_bits)
             reg.gauge("storage.max_server_bits").set(max_bits)
             reg.timeseries("storage.total_bits").record(step, total_bits)
@@ -224,18 +309,25 @@ class SimObserver:
             reg.gauge("faults.partitions_started").set(adversary.partitions_started)
             reg.gauge("faults.heals").set(adversary.heals)
 
-        if record.kind == "crash":
+        if kind == "crash":
             self.spans.note_crash(record.src, step)
             if self.tracer:
                 self.tracer.on_crash(step, record.src)
-        elif record.kind == "recover" and self.tracer:
-            self.tracer.on_recover(step, record.src)
+        elif kind == "recover":
+            stale.add(record.src)  # its ``on_recover`` hook runs next
+            if self.tracer:
+                self.tracer.on_recover(step, record.src)
 
     # -- fault hooks (called by World.deliver / the chaos driver) ------------
 
     def on_deliver(self, world, src: str, dst: str, message, record) -> None:
-        """A message reached its receiver (trace-only; counters come
-        from :meth:`on_action` via the ``deliver`` action record)."""
+        """A message reached its receiver, whose handler runs next.
+
+        Counters come from :meth:`on_action` via the ``deliver`` action
+        record; here the receiver is marked for a storage re-read at
+        the next sample.
+        """
+        self._stale.add(dst)
         if self.tracer:
             self.tracer.on_deliver(record.step, src, dst, message)
 
@@ -253,6 +345,7 @@ class SimObserver:
 
     def on_duplicate(self, world, src: str, dst: str, message) -> None:
         """The adversary re-enqueued a duplicate before delivering."""
+        self._in_flight += 1
         self.registry.inc("faults.duplicates")
         if self.tracer:
             self.tracer.on_duplicate(world.step_count + 1, src, dst, message)
@@ -291,6 +384,7 @@ class SimObserver:
 
     def begin_op(self, record) -> None:
         """A client operation was invoked; open its ``op/<kind>`` span."""
+        self._stale.add(record.client)
         self.registry.inc(f"ops.invoked.{record.kind}")
         self.spans.begin(
             record.client, f"op/{record.kind}", record.invoke_step, op_id=record.op_id

@@ -18,7 +18,8 @@ Hot-path design notes
 ---------------------
 
 Forking and stepping dominate every executable proof and chaos
-campaign, so both avoid reflective work:
+campaign, so both avoid reflective work, and a step pays only for
+what it changes:
 
 * ``fork()`` uses the explicit clone protocol (``Process.clone``,
   ``Channel.clone``, ``Scheduler.clone``, ``OperationRecord.clone``,
@@ -28,10 +29,19 @@ campaign, so both avoid reflective work:
 * ``enabled_channels()`` reads an incrementally maintained sorted
   index of non-empty channels (updated by channel transition
   callbacks on enqueue/dequeue) instead of rescanning and re-sorting
-  every channel per step.  The scheduler sees exactly the same sorted
-  key list as before, so schedules are byte-identical.
+  every channel per step.  The adversary's partition gate is
+  consulted only while a partition is active.  The scheduler sees
+  exactly the same sorted key list as before, so schedules are
+  byte-identical.
 * ``servers()``/``clients()`` and ``pending_operations()`` are served
   from caches invalidated at the (single) mutation points.
+* The World keeps no counters for its observer.  An attached
+  :class:`~repro.obs.recorder.SimObserver` tracks in-flight messages
+  and per-server storage from the hooks below, so uninstrumented
+  steps and forks pay nothing for it.  It relies on two invariants:
+  server state changes only inside :meth:`deliver`, ``invoke_*`` and
+  :meth:`recover`, and channels change only through the World
+  (:meth:`enqueue_message` and :meth:`deliver`).
 """
 
 from __future__ import annotations
@@ -215,8 +225,9 @@ class World:
                 for k in filtered
                 if channel_filter.allows(*k, head_message=channels[k].peek())
             ]
-        if self.adversary is not None:
-            filtered = [k for k in filtered if self.adversary.allows(*k)]
+        adversary = self.adversary
+        if adversary is not None and adversary.partition is not None:
+            filtered = [k for k in filtered if adversary.allows(*k)]
         if filtered is keys:
             filtered = list(keys)  # defend the cached list against callers
         return filtered
@@ -426,20 +437,22 @@ class World:
         """Deliver until no filtered channel has messages.
 
         Deliveries may trigger new sends; the loop continues until a
-        fixed point.  Returns deliveries performed.
+        fixed point.  Returns deliveries performed.  At most
+        ``max_steps`` deliveries are executed: a system that drains in
+        exactly ``max_steps`` returns, one that needs more raises.
         """
         taken = 0
         while True:
             enabled = self.enabled_channels(channel_filter)
             if not enabled:
                 return taken
-            self.deliver(*enabled[0])
-            taken += 1
-            if taken > max_steps:
+            if taken >= max_steps:
                 raise SimulationError(
                     f"deliver_all exceeded {max_steps} steps; "
                     "protocol may be generating unbounded chatter"
                 )
+            self.deliver(*enabled[0])
+            taken += 1
 
     # -- state inspection ----------------------------------------------------------
 

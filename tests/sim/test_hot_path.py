@@ -4,13 +4,14 @@ These guard the incremental structures the fork/step overhaul
 introduced: the non-empty-channel index (kept in sync by channel
 transition callbacks, even for direct enqueues), the cached
 ``servers()``/``clients()`` topology views, the incomplete-operation
-index behind ``pending_operations()``, and the ``run_until`` step
-budget (which used to permit ``max_steps + 1`` deliveries).
+index behind ``pending_operations()``, and the ``run_until`` and
+``deliver_all`` step budgets (both used to permit ``max_steps + 1``
+deliveries).
 """
 
 import pytest
 
-from repro.errors import OperationIncompleteError
+from repro.errors import OperationIncompleteError, SimulationError
 from repro.registers.abd import build_abd_system
 from repro.sim.events import Message
 from repro.sim.network import World
@@ -128,3 +129,39 @@ class TestRunUntilBudget:
         handle = build_abd_system(n=3, f=1, value_bits=4)
         world = handle.world
         assert world.run_until(lambda w: True, max_steps=0) == 0
+
+
+class TestDeliverAllBudget:
+    """An ABD n=3 f=1 write drains in 12 deliveries: query, query-ack,
+    put and put-ack at each of the three servers."""
+
+    DRAIN = 12
+
+    def _writing_world(self):
+        handle = build_abd_system(n=3, f=1, value_bits=4)
+        world = handle.world
+        world.invoke_write(handle.writer_ids[0], 3)
+        return world
+
+    def test_drain_count(self):
+        world = self._writing_world()
+        assert world.deliver_all() == self.DRAIN
+        assert world.undelivered_channels() == []
+
+    def test_budget_equal_to_drain_count_returns(self):
+        world = self._writing_world()
+        assert world.deliver_all(max_steps=self.DRAIN) == self.DRAIN
+        assert world.undelivered_channels() == []
+
+    def test_budget_one_short_raises_after_exactly_that_many(self):
+        world = self._writing_world()
+        before = world.step_count
+        with pytest.raises(SimulationError, match="exceeded 11 steps"):
+            world.deliver_all(max_steps=self.DRAIN - 1)
+        assert world.step_count - before == self.DRAIN - 1
+        assert world.undelivered_channels() != []
+
+    def test_zero_budget_on_a_drained_world_returns(self):
+        world = self._writing_world()
+        world.deliver_all()
+        assert world.deliver_all(max_steps=0) == 0
