@@ -5,8 +5,11 @@ with its legacy implementation alongside the current one so the JSON
 record carries before/after speedup factors:
 
 * **fork** — ``World.deepcopy_fork`` (the pre-overhaul ``copy.deepcopy``
-  path, kept as the reference implementation) vs the structural
-  ``World.fork``.
+  path, kept as the reference implementation) vs the copy-on-write
+  ``World.fork``.  The fast side times only the sharing step (two dict
+  copies plus the eager clones); the clones a branch needs happen in
+  the deliveries that follow, so what branching costs end to end is
+  measured by perfbench ``explore``, not here.
 * **enabled channels** — a full rescan of every channel (the legacy
   per-step cost, reimplemented here) vs the incrementally maintained
   non-empty index.
@@ -77,7 +80,7 @@ def _mid_operation_world() -> World:
 
 
 def bench_fork() -> Dict[str, float]:
-    """deepcopy_fork vs structural fork on the same mid-operation world."""
+    """deepcopy_fork vs copy-on-write fork on the same mid-operation world."""
     world = _mid_operation_world()
     assert world_digest(world.fork()) == world_digest(world.deepcopy_fork())
     deepcopy_rate = _rate(lambda: world.deepcopy_fork())

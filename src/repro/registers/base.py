@@ -100,7 +100,7 @@ class SystemHandle:
     def surviving_server_ids(self) -> List[str]:
         """Non-failed server ids."""
         return [
-            pid for pid in self.server_ids if not self.world.process(pid).failed
+            pid for pid in self.server_ids if not self.world.processes[pid].failed
         ]
 
     def trace(self) -> ExecutionTrace:
@@ -115,7 +115,7 @@ class SystemHandle:
         matching the paper's normalization (metadata is o(log |V|)).
         """
         return [
-            self.world.process(pid).storage_bits(count_metadata)  # type: ignore[attr-defined]
+            self.world.processes[pid].storage_bits(count_metadata)  # type: ignore[attr-defined]
             for pid in self.server_ids
         ]
 

@@ -71,11 +71,12 @@ class Channel:
         return self._queue[0] if self._queue else None
 
     def clone(self, notify: Optional[TransitionCallback] = None) -> "Channel":
-        """Fast copy for World forks.
+        """Fast copy for copy-on-write World forks.
 
         Messages are immutable and shared; the queue itself is copied.
         The clone is wired to the *caller's* transition callback (a
-        forked World passes its own), never to the original's.
+        World writing a channel it shares with a fork twin passes its
+        own), never to the original's.
         """
         duplicate = Channel(self.src, self.dst, notify)
         duplicate._queue.extend(self._queue)

@@ -1,11 +1,13 @@
-"""Fast structural cloning for World forks.
+"""Fast structural cloning for copy-on-write World forks.
 
 ``World.fork()`` used to be ``copy.deepcopy(self)``.  Deepcopy walks
 every object reflectively, consults the memo dictionary per node, and
 re-copies values that are immutable by construction (messages, tags,
 action records, codes).  Forking dominates valency probing and
-exhaustive exploration, so this module provides an explicit *clone
-protocol* instead:
+exhaustive exploration.  Forks now share processes and channels and
+clone one only when a twin first writes it (``World.process`` and
+``World.channel``); this module is the explicit *clone protocol* that
+copy uses, instead of deepcopy:
 
 * :func:`clone_state_value` — a recursive copier specialised for the
   plain-data state the simulator allows (scalars, strings, tuples,

@@ -21,11 +21,15 @@ Forking and stepping dominate every executable proof and chaos
 campaign, so both avoid reflective work, and a step pays only for
 what it changes:
 
-* ``fork()`` uses the explicit clone protocol (``Process.clone``,
-  ``Channel.clone``, ``Scheduler.clone``, ``OperationRecord.clone``,
-  adversary ``clone``) instead of ``copy.deepcopy``;
-  :meth:`deepcopy_fork` keeps the old behaviour as the reference
-  implementation for equivalence tests and benchmarks.
+* ``fork()`` is copy-on-write.  Twins share process and channel
+  objects; each World records which of them it *owns*, and the write
+  accessors :meth:`process` and :meth:`channel` clone a shared object
+  (through the explicit clone protocol: ``Process.clone``,
+  ``Channel.clone``) the first time this World writes it.  ``fork()``
+  itself copies two dicts and clones only the small eager parts
+  (operation records, scheduler, adversary).  :meth:`deepcopy_fork`
+  keeps ``copy.deepcopy`` as the reference implementation for
+  equivalence tests and benchmarks.
 * ``enabled_channels()`` reads an incrementally maintained sorted
   index of non-empty channels (updated by channel transition
   callbacks on enqueue/dequeue) instead of rescanning and re-sorting
@@ -33,6 +37,10 @@ what it changes:
   consulted only while a partition is active.  The scheduler sees
   exactly the same sorted key list as before, so schedules are
   byte-identical.
+* The state digest (:meth:`process_digests`,
+  :meth:`channel_digests`) walks that non-empty index, and reuses the
+  digest of every process this World does not own: nobody can write
+  such an object again.
 * ``servers()``/``clients()`` and ``pending_operations()`` are served
   from caches invalidated at the (single) mutation points.
 * The World keeps no counters for its observer.  An attached
@@ -47,7 +55,17 @@ what it changes:
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import (
     DeadlockDetectedError,
@@ -72,8 +90,19 @@ class World:
     """A complete simulated system at some point of some execution."""
 
     def __init__(self, scheduler: Optional[Scheduler] = None) -> None:
-        self.processes: Dict[str, Process] = {}
-        self.channels: Dict[ChannelKey, Channel] = {}
+        self._processes: Dict[str, Process] = {}
+        self._channels: Dict[ChannelKey, Channel] = {}
+        #: Read-only views: reading through them never clones.  Write
+        #: through :meth:`process` and :meth:`channel` instead.
+        self.processes: Mapping[str, Process] = MappingProxyType(self._processes)
+        self.channels: Mapping[ChannelKey, Channel] = MappingProxyType(self._channels)
+        #: Pids and channel keys whose objects this World owns: it
+        #: created them and no fork shares them.  Every other object is
+        #: shared with a twin and cloned on first write (see :meth:`fork`).
+        self._owned: set = set()
+        #: pid -> (process, digest entry) for processes no World owns,
+        #: shared between a World and its forks (see :meth:`process_digests`).
+        self._digest_memo: Dict[str, tuple] = {}
         self.scheduler: Scheduler = scheduler or RoundRobinScheduler()
         self.step_count = 0
         self.trace: List[ActionRecord] = []
@@ -85,9 +114,10 @@ class World:
         #: sorted view and is invalidated on every transition.
         self._nonempty: set = set()
         self._nonempty_sorted: Optional[List[ChannelKey]] = None
-        #: Topology caches (invalidated by :meth:`add_process`).
-        self._servers_cache: Optional[List[ServerProcess]] = None
-        self._clients_cache: Optional[List[ClientProcess]] = None
+        #: Sorted pids, all and by role (invalidated by :meth:`add_process`).
+        self._pids: Optional[List[str]] = None
+        self._server_pids: List[str] = []
+        self._client_pids: List[str] = []
         #: Incomplete operations by op id, maintained by ``invoke_*``
         #: and :meth:`complete_operation` (insertion = invocation order).
         self._pending_ops: Dict[int, OperationRecord] = {}
@@ -108,46 +138,76 @@ class World:
 
     def add_process(self, process: Process) -> Process:
         """Register a process; ids must be unique."""
-        if process.pid in self.processes:
-            raise SimulationError(f"duplicate process id {process.pid!r}")
-        self.processes[process.pid] = process
-        self._servers_cache = None
-        self._clients_cache = None
+        pid = process.pid
+        if pid in self._processes:
+            raise SimulationError(f"duplicate process id {pid!r}")
+        self._processes[pid] = process
+        self._owned.add(pid)
+        self._pids = None
         return process
 
     def process(self, pid: str) -> Process:
-        """Look up a process by id."""
+        """This World's own copy of a process, for reading or writing.
+
+        A process shared with a fork twin is cloned on the first call,
+        so the write stays invisible to the twin.  Pure reads can go
+        through :attr:`processes` instead, which never clones.
+        """
+        processes = self._processes
+        if pid in self._owned:
+            return processes[pid]
         try:
-            return self.processes[pid]
+            shared = processes[pid]
         except KeyError:
             raise UnknownProcessError(f"no process {pid!r}") from None
+        process = processes[pid] = shared.clone()
+        self._owned.add(pid)
+        return process
+
+    def _sorted_pids(self) -> List[str]:
+        """All pids in id order (cached; never mutated in place)."""
+        pids = self._pids
+        if pids is None:
+            processes = self._processes
+            pids = self._pids = sorted(processes)
+            self._server_pids = [
+                pid for pid in pids if isinstance(processes[pid], ServerProcess)
+            ]
+            self._client_pids = [
+                pid for pid in pids if isinstance(processes[pid], ClientProcess)
+            ]
+        return pids
 
     def servers(self) -> List[ServerProcess]:
-        """All registered servers, sorted by id (cached)."""
-        if self._servers_cache is None:
-            self._servers_cache = sorted(
-                (p for p in self.processes.values() if isinstance(p, ServerProcess)),
-                key=lambda p: p.pid,
-            )
-        return list(self._servers_cache)
+        """All registered servers, sorted by id (this World's own objects)."""
+        self._sorted_pids()
+        return [self.process(pid) for pid in self._server_pids]  # type: ignore[misc]
 
     def clients(self) -> List[ClientProcess]:
-        """All registered clients, sorted by id (cached)."""
-        if self._clients_cache is None:
-            self._clients_cache = sorted(
-                (p for p in self.processes.values() if isinstance(p, ClientProcess)),
-                key=lambda p: p.pid,
-            )
-        return list(self._clients_cache)
+        """All registered clients, sorted by id (this World's own objects)."""
+        self._sorted_pids()
+        return [self.process(pid) for pid in self._client_pids]  # type: ignore[misc]
 
     def channel(self, src: str, dst: str) -> Channel:
-        """The channel src->dst, created lazily."""
+        """This World's own channel src->dst, created lazily.
+
+        Like :meth:`process`, clones a channel shared with a fork twin
+        on the first call; :attr:`channels` is the read-only view.
+        """
         key = (src, dst)
-        if key not in self.channels:
-            if src not in self.processes or dst not in self.processes:
-                raise UnknownProcessError(f"channel endpoints {key} unknown")
-            self.channels[key] = Channel(src, dst, self._channel_transition)
-        return self.channels[key]
+        channels = self._channels
+        if key in self._owned:
+            return channels[key]
+        shared = channels.get(key)
+        if shared is not None:
+            channel = shared.clone(self._channel_transition)
+        elif src in self._processes and dst in self._processes:
+            channel = Channel(src, dst, self._channel_transition)
+        else:
+            raise UnknownProcessError(f"channel endpoints {key} unknown")
+        channels[key] = channel
+        self._owned.add(key)
+        return channel
 
     def _channel_transition(self, channel: Channel, nonempty: bool) -> None:
         """Channel callback: keep the non-empty index in sync.
@@ -167,7 +227,9 @@ class World:
 
     def enqueue_message(self, src: str, dst: str, message: Message) -> None:
         """Place a message in flight (process send action)."""
-        sender = self.process(src)
+        sender = self._processes.get(src)
+        if sender is None:
+            raise UnknownProcessError(f"no process {src!r}")
         if sender.failed:
             raise ProcessFailedError(f"failed process {src} cannot send")
         self.channel(src, dst).enqueue(message)
@@ -219,7 +281,7 @@ class World:
             keys = self._nonempty_sorted = sorted(self._nonempty)
         filtered = keys
         if channel_filter is not None:
-            channels = self.channels
+            channels = self._channels
             filtered = [
                 k
                 for k in filtered
@@ -263,8 +325,7 @@ class World:
                 obs.on_reorder(self, src, dst, message, index)
         else:
             message = channel.dequeue()
-        receiver = self.process(dst)
-        if receiver.failed:
+        if self._processes[dst].failed:
             if obs:
                 obs.on_crashed_drop(self, src, dst, message)
             return self._record("drop", src, dst, message.kind)
@@ -289,7 +350,7 @@ class World:
         record = self._record("deliver", src, dst, message.kind)
         if obs:
             obs.on_deliver(self, src, dst, message, record)
-        receiver.on_message(ProcessContext(self, dst), src, message)
+        self.process(dst).on_message(ProcessContext(self, dst), src, message)
         return record
 
     def step(
@@ -474,18 +535,72 @@ class World:
         """
         return list(self._pending_ops.values())
 
-    def fork(self) -> "World":
-        """Copy the World at the current point (the fast clone path).
+    def process_digests(self, exclude: Collection[str] = ()) -> Tuple[tuple, ...]:
+        """``(pid, failed, state_digest())`` per process, in pid order.
 
-        The copy shares nothing mutable with the original: stepping one
-        never affects the other.  Used for valency probing and schedule
-        exploration, so it avoids ``copy.deepcopy``'s per-object
-        reflection via the explicit clone protocol (see the module
-        docstring).  Immutable values — messages, tags, action records,
-        codes — are shared between twins.  :meth:`deepcopy_fork` is the
-        reference implementation; the property tests in
-        ``tests/sim/test_fast_fork.py`` assert both produce observably
-        identical, causally independent Worlds.
+        Processes named in ``exclude`` are left out.  A process this
+        World owns may still be written, so it is digested afresh.  One
+        it does not own is shared with a fork twin and nobody can write
+        it again (writes clone it first), so its entry is memoised by
+        object identity in a memo shared with this World's forks.
+        """
+        processes = self._processes
+        owned = self._owned
+        memo = self._digest_memo
+        entries = []
+        for pid in self._sorted_pids():
+            if pid in exclude:
+                continue
+            process = processes[pid]
+            if pid in owned:
+                entries.append((pid, process.failed, process.state_digest()))
+                continue
+            hit = memo.get(pid)
+            if hit is not None and hit[0] is process:
+                entries.append(hit[1])
+            else:
+                entry = (pid, process.failed, process.state_digest())
+                memo[pid] = (process, entry)
+                entries.append(entry)
+        return tuple(entries)
+
+    def channel_digests(self, exclude: Collection[str] = ()) -> Tuple[tuple, ...]:
+        """``(key, contents)`` per non-empty channel, in key order.
+
+        Channels with an endpoint named in ``exclude`` are left out.
+        """
+        keys = self._nonempty_sorted
+        if keys is None:
+            keys = self._nonempty_sorted = sorted(self._nonempty)
+        channels = self._channels
+        return tuple(
+            (key, channels[key].state_digest())
+            for key in keys
+            if key[0] not in exclude and key[1] not in exclude
+        )
+
+    def fork(self) -> "World":
+        """Copy the World at the current point, copy-on-write.
+
+        The twins share every process and channel object, and neither
+        owns any of them afterwards: the first write through
+        :meth:`process` or :meth:`channel` (and so every ``deliver``,
+        ``enqueue_message``, ``invoke_*``, ``crash`` and ``recover``)
+        clones the object into the writing World, so stepping one twin
+        never affects the other.  A fork therefore costs two dict
+        copies plus the eager clones of the operation records, the
+        scheduler and the adversary; a later delivery clones only its
+        receiver and the channels it pops from and pushes to.
+        Immutable values — messages, tags, action records, codes — are
+        shared as before.
+
+        A reference obtained from :meth:`process` or :meth:`channel`
+        before a fork must be re-fetched after it: the old object now
+        belongs to both twins' past, and writing it would show in both.
+
+        :meth:`deepcopy_fork` is the reference implementation; the
+        property tests in ``tests/sim/test_fast_fork.py`` assert both
+        produce observably identical, causally independent Worlds.
         """
         clone = World.__new__(World)
         clone.scheduler = self.scheduler.clone()
@@ -504,17 +619,22 @@ class World:
         # uninstrumented fork path free (guarded by the perf guard's
         # tracing-off budget).
         clone.obs = copy.deepcopy(self.obs) if self.obs else self.obs
-        clone.processes = {
-            pid: process.clone() for pid, process in self.processes.items()
-        }
-        clone.channels = {}
-        notify = clone._channel_transition
-        for key, channel in self.channels.items():
-            clone.channels[key] = channel.clone(notify)
+        clone._processes = dict(self._processes)
+        clone._channels = dict(self._channels)
+        clone.processes = MappingProxyType(clone._processes)
+        clone.channels = MappingProxyType(clone._channels)
+        # Both twins lose ownership: the explorer steps the parent in
+        # place for its last child, and that must not write the objects
+        # its other children share.
+        self._owned.clear()
+        clone._owned = set()
+        clone._digest_memo = self._digest_memo
         clone._nonempty = set(self._nonempty)
-        clone._nonempty_sorted = None
-        clone._servers_cache = None
-        clone._clients_cache = None
+        # Cached lists are replaced, never mutated in place: share them.
+        clone._nonempty_sorted = self._nonempty_sorted
+        clone._pids = self._pids
+        clone._server_pids = self._server_pids
+        clone._client_pids = self._client_pids
         # op_id == index in ``operations`` (enforced by invoke_*), so the
         # pending index can be rebuilt against the cloned records.
         clone._pending_ops = {
@@ -535,6 +655,19 @@ class World:
         ``benchmarks/bench_core.py`` before/after comparison.
         """
         return copy.deepcopy(self)
+
+    def __getstate__(self) -> dict:
+        # Mapping views do not pickle, and the digest memo holds other
+        # Worlds' processes; both are rebuilt by ``__setstate__``.
+        state = self.__dict__.copy()
+        del state["processes"], state["channels"]
+        state["_digest_memo"] = {}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.processes = MappingProxyType(self._processes)
+        self.channels = MappingProxyType(self._channels)
 
     def __repr__(self) -> str:
         return (

@@ -79,7 +79,10 @@ class Process:
         raise NotImplementedError
 
     def clone(self) -> "Process":
-        """Independent copy of this process for a World fork.
+        """Independent copy of this process for a copy-on-write fork.
+
+        ``World.process`` calls it when a World first writes a process
+        it shares with a fork twin.
 
         The default copies ``__dict__`` through the fast plain-data
         cloner (:mod:`repro.sim.clone`), which every protocol in this

@@ -4,8 +4,10 @@ Valency probing (Definitions 4.3 / 5.3 / Section 6.4.2) asks whether an
 *extension* of the current execution exists in which a read returns a
 particular value.  We answer it constructively: fork the World, apply
 the definition's channel freezes, run a read, observe the result.  The
-fork must be a perfect deep copy; these helpers add cheap integrity
-checks around :meth:`World.fork`.
+fork must be observably identical to the original and causally
+independent of it (``World.fork`` is copy-on-write: the twins share
+state until one writes); these helpers add cheap integrity checks
+around :meth:`World.fork`.
 """
 
 from __future__ import annotations
@@ -23,16 +25,7 @@ def world_digest(world: World) -> Tuple:
     counter.  Two Worlds with equal digests are indistinguishable to
     any extension (the composite-automaton state of Claim 4.9).
     """
-    processes = tuple(
-        (pid, world.processes[pid].failed, world.processes[pid].state_digest())
-        for pid in sorted(world.processes)
-    )
-    channels = tuple(
-        (key, world.channels[key].state_digest())
-        for key in sorted(world.channels)
-        if len(world.channels[key]) > 0
-    )
-    return (world.step_count, processes, channels)
+    return (world.step_count, world.process_digests(), world.channel_digests())
 
 
 def fork_world(world: World, verify: bool = False) -> World:
@@ -60,16 +53,4 @@ def composite_digest(
     processes.
     """
     excluded = frozenset(exclude_pids or ())
-    processes = tuple(
-        (pid, world.processes[pid].failed, world.processes[pid].state_digest())
-        for pid in sorted(world.processes)
-        if pid not in excluded
-    )
-    channels = tuple(
-        (key, world.channels[key].state_digest())
-        for key in sorted(world.channels)
-        if key[0] not in excluded
-        and key[1] not in excluded
-        and len(world.channels[key]) > 0
-    )
-    return (processes, channels)
+    return (world.process_digests(excluded), world.channel_digests(excluded))

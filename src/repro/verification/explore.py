@@ -66,6 +66,10 @@ HistoryChecker = Callable[[list], bool]
 
 _EMPTY_SLEEP: frozenset = frozenset()
 
+#: Longest delivery path explored; a deeper one ends the search with
+#: ``exhausted=False``, like hitting ``max_states``.
+MAX_DEPTH = 400
+
 
 class ExplorationBudgetExceeded(ReproError):
     """Raised internally when ``max_states`` is hit (caught by driver)."""
@@ -128,31 +132,21 @@ class ScheduleExplorer:
     deliveries.  It is automatically disabled when the World carries a
     channel adversary (whose per-delivery random fates break
     commutation).
-
-    ``fork_fn`` overrides how child states are forked — the benchmark
-    harness passes ``World.deepcopy_fork`` to measure the legacy path;
-    everything else should leave the default (``World.fork``).
     """
 
     def __init__(
         self,
         checker: Optional[HistoryChecker] = None,
         max_states: int = 200_000,
-        max_depth: int = 400,
-        require_completion: bool = True,
         followups: Optional[Sequence[Tuple[int, Callable[[World], None]]]] = None,
         stop_at_first_violation: bool = False,
         por: bool = False,
-        fork_fn: Optional[Callable[[World], World]] = None,
     ) -> None:
         self.checker = checker or (lambda ops: check_atomicity(ops).ok)
         self.max_states = max_states
-        self.max_depth = max_depth
-        self.require_completion = require_completion
         self.followups = list(followups or [])
         self.stop_at_first_violation = stop_at_first_violation
         self.por = por
-        self.fork_fn = fork_fn or World.fork
 
     def _fire_followups(self, state: World, base_ops: int) -> None:
         for i, (trigger, invoke) in enumerate(self.followups):
@@ -172,11 +166,10 @@ class ScheduleExplorer:
         )
         #: digest -> intersection of the sleep sets it was explored with.
         visited: Dict[tuple, set] = {}
-        fork = self.fork_fn
 
         # Tracing costs memory per fork and the schedule path already
         # identifies executions; turn it off for the search.
-        world = fork(world)
+        world = world.fork()
         world.record_trace = False
         base_ops = len(world.operations)
 
@@ -222,13 +215,12 @@ class ScheduleExplorer:
             result.states_visited += 1
             if result.states_visited > self.max_states:
                 raise ExplorationBudgetExceeded()
-            if len(path) > self.max_depth:
+            if len(path) > MAX_DEPTH:
                 raise ExplorationBudgetExceeded()
 
             if not enabled:
                 result.executions_checked += 1
-                pending = state.pending_operations()
-                if pending and self.require_completion:
+                if state.pending_operations():
                     result.incomplete_terminals += 1
                 if not self.checker(list(state.operations)):
                     result.violations.append(
@@ -242,7 +234,7 @@ class ScheduleExplorer:
                 # The parent state is dead after its final branch, so the
                 # last child mutates it in place instead of forking — on
                 # non-branching chains this eliminates forking entirely.
-                child = state if index == last else fork(state)
+                child = state if index == last else state.fork()
                 child.deliver(*key_choice)
                 if por_active:
                     child_sleep = frozenset(

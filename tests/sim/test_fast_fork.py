@@ -7,6 +7,12 @@ at the fork point, the same enabled channels, and — fed the identical
 delivery sequence, including adversary fault decisions drawn from the
 cloned RNG stream — the same digest and trace after every step.  The
 parent is never disturbed by either twin.
+
+``fork`` is copy-on-write: twins share process and channel objects
+until one of them writes.  So the parent, its fork, a fork of the fork
+and the deepcopy oracle are also stepped in interleaved order, and
+every write accessor (``process``, ``channel``, ``crash``, ``recover``,
+``servers``/``clients``) is checked to stay invisible to the twin.
 """
 
 import random
@@ -17,7 +23,9 @@ from repro.faults.adversary import AdversaryConfig, ChannelAdversary, Partition
 from repro.registers.abd import build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
 from repro.registers.cas import build_cas_system
-from repro.sim.snapshot import world_digest
+from repro.sim.events import Message
+from repro.sim.process import ServerProcess
+from repro.sim.snapshot import composite_digest, world_digest
 
 
 def _random_world(seed: int):
@@ -130,3 +138,181 @@ def test_fork_preserves_pending_operation_identity():
     clone.deliver_all()
     assert clone.pending_operations() == []
     assert [op.op_id for op in world.pending_operations()] == [0]
+
+
+def _step_interleaved(worlds, rng, rounds=40):
+    """Apply one random action to every World per round, in a random
+    order, checking after each single step that the Worlds not yet
+    stepped this round are untouched, and after each round that all
+    agree.  Actions are deliveries plus occasional crashes and
+    recoveries of servers."""
+    reference = worlds[-1]
+    for _ in range(rounds):
+        enabled = reference.enabled_channels()
+        for world in worlds:
+            assert world.enabled_channels() == enabled
+        servers = [
+            pid for pid, process in reference.processes.items()
+            if isinstance(process, ServerProcess)
+        ]
+        crashed = [pid for pid in servers if reference.processes[pid].failed]
+        roll = rng.random()
+        if crashed and roll < 0.1:
+            action = ("recover", rng.choice(crashed))
+        elif not crashed and roll < 0.2:
+            action = ("crash", rng.choice(servers))
+        elif enabled:
+            action = ("deliver", rng.choice(enabled))
+        else:
+            break
+        before = world_digest(reference)
+        order = list(worlds)
+        rng.shuffle(order)
+        for done, world in enumerate(order):
+            kind, arg = action
+            if kind == "deliver":
+                world.deliver(*arg)
+            else:
+                getattr(world, kind)(arg)
+            for untouched in order[done + 1:]:
+                assert world_digest(untouched) == before
+        after = world_digest(reference)
+        for world in worlds:
+            assert world_digest(world) == after
+    for world in worlds:
+        assert [
+            (op.op_id, op.kind, op.value, op.invoke_step, op.response_step)
+            for op in world.operations
+        ] == [
+            (op.op_id, op.kind, op.value, op.invoke_step, op.response_step)
+            for op in reference.operations
+        ]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_parent_fork_and_oracle_step_interleaved(seed):
+    """The parent keeps stepping too (as the explorer's last child
+    does); all three stay equal after every step."""
+    world = _random_world(seed)
+    fork = world.fork()
+    oracle = world.deepcopy_fork()
+    _step_interleaved([world, fork, oracle], random.Random(seed * 31 + 7))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_fork_of_a_fork_steps_interleaved(seed):
+    world = _random_world(seed)
+    oracle = world.deepcopy_fork()
+    child = world.fork()
+    rng = random.Random(seed * 53 + 11)
+    # Diverge the child from its parent before forking it again, so
+    # the grandchild shares some objects with both and some with one.
+    for _ in range(rng.randrange(4)):
+        enabled = child.enabled_channels()
+        if not enabled:
+            break
+        key = rng.choice(enabled)
+        for twin in (world, child, oracle):
+            twin.deliver(*key)
+    grandchild = child.fork()
+    _step_interleaved([world, child, grandchild, oracle], rng)
+
+
+def _abd_mid_write():
+    handle = build_abd_system(n=3, f=1, value_bits=4)
+    world = handle.world
+    world.invoke_write(handle.writer_ids[0], 5)
+    world.step()
+    return handle, world
+
+
+def _write_process(world, pid):
+    world.process(pid).value = 9
+
+
+def _write_channel(world, pid):
+    world.channel(pid, "w000").enqueue(Message.make("get", ref=("x", 1)))
+
+
+def _crash(world, pid):
+    world.crash(pid)
+
+
+def _recover(world, pid):
+    world.recover(pid)
+
+
+#: write -> (set-up applied before the fork, the write itself).
+WRITES = {
+    "process": (None, _write_process),
+    "channel": (None, _write_channel),
+    "crash": (None, _crash),
+    "recover": (_crash, _recover),
+}
+
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+@pytest.mark.parametrize("writer", ["fork", "parent"])
+def test_writes_are_invisible_to_the_twin(write, writer):
+    handle, world = _abd_mid_write()
+    pid = handle.server_ids[1]
+    setup, apply = WRITES[write]
+    if setup is not None:
+        setup(world, pid)
+    fork = world.fork()
+    oracle = world.deepcopy_fork()
+    before = world_digest(world)
+    assert world_digest(fork) == before
+    target, twin = (fork, world) if writer == "fork" else (world, fork)
+    apply(target, pid)
+    assert world_digest(target) != before
+    assert world_digest(twin) == before
+    # The twin continues exactly as a deep copy of the fork point.
+    steps = 0
+    while twin.step() is not None:
+        oracle.step()
+        steps += 1
+        assert world_digest(twin) == world_digest(oracle)
+    assert steps and oracle.step() is None
+
+
+def test_servers_and_clients_are_the_worlds_own():
+    handle, world = _abd_mid_write()
+    fork = world.fork()
+    for twin, other in ((fork, world), (world, fork)):
+        for process in twin.servers() + twin.clients():
+            assert process is twin.process(process.pid)
+            assert process is twin.processes[process.pid]
+            assert process is not other.processes[process.pid]
+    before = world_digest(world)
+    fork.servers()[0].value = 9
+    assert world_digest(world) == before
+    assert world_digest(fork) != before
+
+
+def test_mutation_after_a_cached_digest_is_seen():
+    """A digest memo must never serve a process that can still change."""
+    handle, world = _abd_mid_write()
+    pid = handle.server_ids[0]
+    fork = world.fork()
+    world_digest(fork)  # every process is shared: memoised
+    parent_before = world_digest(world)
+    fork_before = world_digest(fork)
+    server = fork.process(pid)  # now the fork's own
+    server.value = 9
+    fork_after = world_digest(fork)
+    assert fork_after != fork_before
+    server.value = 11  # the owned process changes again, in place
+    assert world_digest(fork) not in (fork_before, fork_after)
+    assert world_digest(world) == parent_before
+    assert composite_digest(world, (pid,)) == composite_digest(fork, (pid,))
+
+
+def test_mutation_of_a_never_forked_world_is_seen():
+    handle = build_abd_system(n=3, f=1, value_bits=4)
+    world = handle.world
+    server = world.process(handle.server_ids[0])
+    first = world_digest(world)
+    world_digest(world)
+    server.value = 9
+    assert world_digest(world) != first
