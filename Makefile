@@ -1,52 +1,25 @@
 PYTHON ?= python
 
-.PHONY: install test test-tier1 bench bench-core bench-parallel campaign-scale perf-guard perfbench resume-smoke examples verify-proofs figure1 chaos byzantine-smoke sweep metrics-smoke trace-smoke shrink-smoke golden docs-check clean
+.PHONY: install test bench campaign-scale perfbench resume-smoke examples verify-proofs figure1 chaos byzantine-smoke sweep metrics-smoke trace-smoke shrink-smoke golden docs-check clean
 
 install:
 	pip install -e . --no-build-isolation
 
+# The whole suite is the gate: every test is deterministic and none
+# asserts on wall clock (timing lives in `make perfbench`).
 test:
 	$(PYTHON) -m pytest tests/
 
-# Tier-1 only: skip the heavier telemetry/benchmark tests.
-test-tier1:
-	$(PYTHON) -m pytest tests/ -m "not tier2"
-
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Core hot-path rates (fork, enabled-channel query, exploration,
-# checker), each against its legacy implementation.  Rewrites
-# benchmarks/results/BENCH_core.json — commit it to refresh the perf
-# baseline after an intentional performance change.
-bench-core:
-	$(PYTHON) -m benchmarks.bench_core
-
-# Parallel-engine record: jobs-scaling curve, chunk ablation, legacy-
-# vs-persistent engine comparison, dispatch microbench, byte-identity
-# and warm-cache invariants.  Rewrites the measurement sections of
-# benchmarks/results/BENCH_parallel.json (the campaign_scale section
-# from `make campaign-scale` is preserved).
-bench-parallel:
-	$(PYTHON) -m benchmarks.bench_parallel
 
 # Fleet scale: a 10,000-run chaos campaign (1000 seeds x the 10-shape
 # fault grid, ABD) plus the full empirical Figure-1 sweep (N=21, f=10),
 # both through the persistent pool at one worker per CPU.  Asserts the
 # campaign contract on every run and records wall clock + per-run cost
-# in the campaign_scale section of BENCH_parallel.json.  Tier-2; also
-# wrapped by tests/perf/test_parallel_regression.py at smoke size.
+# in benchmarks/results/BENCH_campaign_scale.json.
 campaign-scale:
 	$(PYTHON) -m benchmarks.bench_campaign_scale
-
-# Fail (exit 1) if any core speedup factor fell more than 30% below
-# the committed BENCH_core.json baseline, or if the parallel engine
-# breaks its gates (byte-identity, warm-cache zero runs, dispatch and
-# engine speedup floors, CPU-tiered jobs speedup).  Also runs as
-# tier-2 tests (tests/perf/test_core_regression.py and
-# tests/perf/test_parallel_regression.py), excluded from tier-1.
-perf-guard:
-	$(PYTHON) -m benchmarks.perf_guard
 
 # End-to-end and per-layer benchmark: every BENCHMARK.json workload at
 # --trace 0 (pass_ms, runs_per_s, setup_s) and --trace 1 (per-layer
@@ -64,10 +37,9 @@ perfbench:
 		done; \
 	done
 
-# Tier-2 resilience smoke: run a journaled chaos campaign, SIGKILL it
-# about halfway, resume from the journal, and assert the resumed JSON
-# report is byte-identical to an uninterrupted reference run.  Also
-# wired into perf-guard as the resume-resilience gate and wrapped by
+# Resilience smoke: run a journaled chaos campaign, SIGKILL it about
+# halfway, resume from the journal, and assert the resumed JSON report
+# is byte-identical to an uninterrupted reference run.  Also run by
 # tests/perf/test_resume_smoke.py.
 resume-smoke:
 	$(PYTHON) -m benchmarks.resume_smoke
@@ -94,11 +66,10 @@ chaos:
 	$(PYTHON) -m repro chaos --n 5 --f 1 --seeds 3 --jobs 4 \
 		--json benchmarks/results/chaos_campaign.json
 
-# Tier-2 Byzantine smoke: a small seeded campaign over ABD and CAS with
-# one corrupt server per run (the Byzantine band from docs/byzantine.md),
-# plus the determinism guard.  The tier-1 counterpart — a single
-# equivocation run asserting Degraded-not-violated — lives in
-# tests/faults/test_byzantine.py and runs on every PR.
+# Byzantine smoke: a small seeded campaign over ABD and CAS with one
+# corrupt server per run (the Byzantine band from docs/byzantine.md),
+# plus the determinism guard.  A single equivocation run asserting
+# Degraded-not-violated lives in tests/faults/test_byzantine.py.
 byzantine-smoke:
 	$(PYTHON) -m pytest tests/faults/test_byzantine_campaign.py -q
 	$(PYTHON) -m repro chaos --byzantine 1 --algorithms abd cas \
@@ -117,10 +88,10 @@ metrics-smoke:
 		--json benchmarks/results/metrics_smoke.json
 	$(PYTHON) -m repro profile --algorithm abd -n 5 -f 1 --ops 6
 
-# Tier-2 trace smoke: capture a causally-traced chaos run (repro.trace/1
-# plus the Chrome/Perfetto export), fold a chaos campaign into fleet
-# analytics (repro.analytics/1), and assert the tracing-off overhead
-# budget (<3%) on the core fork/exploration paths.  Artifacts land in
+# Trace smoke: capture a causally-traced chaos run (repro.trace/1 plus
+# the Chrome/Perfetto export), fold a chaos campaign into fleet
+# analytics (repro.analytics/1), and assert that tracing off calls no
+# observer method and builds no trace event.  Artifacts land in
 # benchmarks/results/; every one is byte-identical at any --jobs.
 trace-smoke:
 	$(PYTHON) -m repro trace capture --algorithm abd --shape kitchen-sink \
@@ -128,12 +99,12 @@ trace-smoke:
 	$(PYTHON) -m repro chaos --algorithms abd cas --n 5 --f 1 --seeds 1 \
 		--ops 6 --jobs 2 --out "" \
 		--analytics benchmarks/results/analytics_smoke.json
-	$(PYTHON) -m pytest tests/perf/test_tracing_overhead.py -q
+	$(PYTHON) -m pytest tests/perf/test_work_counters.py -q -k tracing_off
 
-# Tier-2 triage smoke: rig an ABD safety violation (stale-tags
-# tampering), ddmin-shrink the repro bundle, and assert the minimized
-# workload is a fixed tiny repro.  The regression corpus under
-# tests/corpus/ is replayed by tier-1 (tests/triage/test_corpus.py).
+# Triage smoke: rig an ABD safety violation (stale-tags tampering),
+# ddmin-shrink the repro bundle, and assert the minimized workload is
+# a fixed tiny repro.  The regression corpus under tests/corpus/ is
+# replayed by tests/triage/test_corpus.py.
 shrink-smoke:
 	$(PYTHON) -m pytest tests/triage/test_shrink_smoke.py -q
 

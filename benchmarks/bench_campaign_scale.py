@@ -1,6 +1,6 @@
 """E18 — spend the headroom: a 10,000-run chaos campaign at full tilt.
 
-``make campaign-scale`` is the tier-2 fleet-scale target the persistent
+``make campaign-scale`` is the fleet-scale target the persistent
 pool unlocked: 1,000 seeds across the full ten-shape fault grid (10,000
 seeded ABD runs — every one a complete build/fault/workload/check
 cycle), followed by the full empirical Figure-1 sweep (measured ABD and
@@ -9,10 +9,9 @@ one worker per CPU and auto-sized chunks.
 
 The campaign's contract is asserted at scale — all 10,000 runs must be
 safe, and every liveness stall diagnosed — and the wall clock plus
-per-run cost land in the ``campaign_scale`` section of
-``BENCH_parallel.json`` (the rest of that record belongs to
-``benchmarks.bench_parallel``, which preserves this section when it
-rewrites the file).
+per-run cost land in ``benchmarks/results/BENCH_campaign_scale.json``.
+The record is informational: no test or gate reads it, and timing
+claims come from perfbench (``BENCHMARK.json``).
 
 The cache is deliberately bypassed: this bench *measures* execution,
 so a warm cache would invalidate the number it exists to record.
@@ -22,8 +21,6 @@ argument scales the campaign down for smoke runs (default 1000 seeds =
 10,000 runs).
 """
 
-import json
-import os
 import sys
 import time
 
@@ -31,7 +28,7 @@ from repro.analysis.empirical import empirical_figure1
 from repro.faults.campaign import FAULT_SHAPES, run_campaign
 from repro.parallel import resolve_jobs, shutdown_pool
 
-from benchmarks.common import RESULTS_DIR
+from benchmarks.common import write_perf_record
 
 #: Seeds of the full-scale campaign; x10 fault shapes = runs.
 DEFAULT_SEEDS = 1000
@@ -41,7 +38,7 @@ FIGURE1_PARAMS = dict(n=21, f=10, nus=(1, 2, 4, 6, 8))
 
 
 def run_campaign_scale(seeds: int = DEFAULT_SEEDS, jobs: int = 0) -> dict:
-    """The 10k-run campaign + Figure-1 sweep; returns the record section."""
+    """The 10k-run campaign + Figure-1 sweep; returns the record."""
     resolved_jobs = resolve_jobs(jobs)
     expected_runs = seeds * len(FAULT_SHAPES)
     print(
@@ -105,28 +102,11 @@ def run_campaign_scale(seeds: int = DEFAULT_SEEDS, jobs: int = 0) -> dict:
     }
 
 
-def record_campaign_scale(section: dict) -> str:
-    """Merge the section into BENCH_parallel.json (read-modify-write)."""
-    path = os.path.join(RESULTS_DIR, "BENCH_parallel.json")
-    try:
-        with open(path) as fh:
-            record = json.load(fh)
-    except (OSError, ValueError):
-        record = {"schema": "repro.bench/1", "bench": "parallel"}
-    record["campaign_scale"] = section
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     seeds = int(argv[0]) if argv else DEFAULT_SEEDS
-    section = run_campaign_scale(seeds=seeds)
-    path = record_campaign_scale(section)
-    print(f"campaign_scale section written to {path}")
+    path = write_perf_record("campaign_scale", run_campaign_scale(seeds=seeds))
+    print(f"campaign_scale record written to {path}")
     shutdown_pool()
     return 0
 

@@ -23,8 +23,8 @@ the *only* checkpoint):
 A kill can race campaign completion on a fast host, so the
 kill-and-resume step retries (with the journal reset) up to
 ``ATTEMPTS`` times before giving up.  ``make resume-smoke`` runs this
-standalone; ``benchmarks.perf_guard`` wires it in as the resilience
-gate, printing the engine counters on failure.
+standalone, and ``tests/perf/test_resume_smoke.py`` runs it in the
+test suite; both fail on any :func:`resilience_failures` message.
 """
 
 from __future__ import annotations
@@ -193,6 +193,24 @@ def run_resume_smoke(verbose: bool = False) -> dict:
     return record
 
 
+def resilience_failures(record: dict) -> list:
+    """Resume-gate violations (empty when checkpoint/resume holds)."""
+    failures = []
+    if record.get("error"):
+        failures.append(f"resilience: {record['error']}")
+    if not record.get("byte_identical"):
+        failures.append(
+            "resilience: resumed campaign report is not byte-identical "
+            "to the uninterrupted reference"
+        )
+    if record.get("killed_midway") and not record.get("loaded"):
+        failures.append(
+            "resilience: the resumed campaign loaded zero journal entries "
+            "after a mid-flight kill"
+        )
+    return failures
+
+
 def main() -> int:
     record = run_resume_smoke(verbose=True)
     print(
@@ -201,8 +219,11 @@ def main() -> int:
         f"(attempt {record['attempts']}), resumed report "
         f"{'byte-identical' if record['byte_identical'] else 'DIVERGED'}"
     )
-    if record.get("error") or not record["byte_identical"]:
-        print(f"resume-smoke FAILED: {record}", file=sys.stderr)
+    failures = resilience_failures(record)
+    if failures:
+        # The engine counters say *how* the resumed campaign degraded
+        # (timeouts, retries, quarantines, serial fallbacks).
+        print(f"resume-smoke FAILED: {failures}\n{record}", file=sys.stderr)
         return 1
     return 0
 

@@ -41,8 +41,8 @@ value — so the decomposition returns the same verdict as the monolithic
 search, in time near-linear in the number of segments.  Long chaos
 histories, which are mostly sequential with short concurrent bursts,
 check in milliseconds instead of blowing the state budget.  Pass
-``decompose=False`` to force the single-segment search (the benchmark
-harness does, to measure the speedup).
+``decompose=False`` to force the single-segment search; the tests use
+it as the oracle the decomposed verdict must match.
 """
 
 from __future__ import annotations

@@ -27,9 +27,7 @@ what it changes:
   (through the explicit clone protocol: ``Process.clone``,
   ``Channel.clone``) the first time this World writes it.  ``fork()``
   itself copies two dicts and clones only the small eager parts
-  (operation records, scheduler, adversary).  :meth:`deepcopy_fork`
-  keeps ``copy.deepcopy`` as the reference implementation for
-  equivalence tests and benchmarks.
+  (operation records, scheduler, adversary).
 * ``enabled_channels()`` reads an incrementally maintained sorted
   index of non-empty channels (updated by channel transition
   callbacks on enqueue/dequeue) instead of rescanning and re-sorting
@@ -598,7 +596,7 @@ class World:
         before a fork must be re-fetched after it: the old object now
         belongs to both twins' past, and writing it would show in both.
 
-        :meth:`deepcopy_fork` is the reference implementation; the
+        ``copy.deepcopy(world)`` is the reference implementation; the
         property tests in ``tests/sim/test_fast_fork.py`` assert both
         produce observably identical, causally independent Worlds.
         """
@@ -616,8 +614,8 @@ class World:
         # state).  A falsy observer (the NullObserver singleton, None)
         # is shared directly: NO_OP deep-copies to itself anyway, and
         # skipping the deepcopy protocol dispatch keeps the
-        # uninstrumented fork path free (guarded by the perf guard's
-        # tracing-off budget).
+        # uninstrumented fork path free (pinned by the tracing-off
+        # counters in tests/perf/test_work_counters.py).
         clone.obs = copy.deepcopy(self.obs) if self.obs else self.obs
         clone._processes = dict(self._processes)
         clone._channels = dict(self._channels)
@@ -647,14 +645,6 @@ class World:
             if key not in clone.__dict__:
                 clone.__dict__[key] = copy.deepcopy(value)
         return clone
-
-    def deepcopy_fork(self) -> "World":
-        """Fork via ``copy.deepcopy`` — the slow reference implementation.
-
-        Kept for the fast-fork equivalence property tests and the
-        ``benchmarks/bench_core.py`` before/after comparison.
-        """
-        return copy.deepcopy(self)
 
     def __getstate__(self) -> dict:
         # Mapping views do not pickle, and the digest memo holds other

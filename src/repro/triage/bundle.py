@@ -43,6 +43,13 @@ BUNDLE_SCHEMA = "repro.bundle/1"
 CAMPAIGN_BUILDER_PARAMS = {"num_writers": 2, "num_readers": 2, "gc_depth": 2}
 
 
+def _required(data, key: str, where: str = ""):
+    """``data[key]``; a missing field raises a ConfigurationError naming it."""
+    if not isinstance(data, dict) or key not in data:
+        raise ConfigurationError(f"bundle field '{where}{key}' is missing")
+    return data[key]
+
+
 @dataclass(frozen=True)
 class ExpectedVerdict:
     """The failure a bundle asserts its replay must reproduce."""
@@ -73,8 +80,8 @@ class ExpectedVerdict:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExpectedVerdict":
         return cls(
-            safety_ok=data["safety_ok"],
-            verdict=data["verdict"],
+            safety_ok=_required(data, "safety_ok", "expected."),
+            verdict=_required(data, "verdict", "expected."),
             safety_reason=data.get("safety_reason", ""),
         )
 
@@ -159,15 +166,17 @@ class ReproBundle:
                 f"unsupported bundle schema {data.get('schema')!r} "
                 f"(expected {BUNDLE_SCHEMA!r})"
             )
-        params = data["params"]
+        params = _required(data, "params")
         fc = data.get("fault_config")
         tl = data.get("timeline")
+        if fc is not None:
+            _required(fc, "name", "fault_config.")  # the one field without a default
         return cls(
-            kind=data["kind"],
-            algorithm=data["algorithm"],
-            n=params["n"],
-            f=params["f"],
-            value_bits=params["value_bits"],
+            kind=_required(data, "kind"),
+            algorithm=_required(data, "algorithm"),
+            n=_required(params, "n", "params."),
+            f=_required(params, "f", "params."),
+            value_bits=_required(params, "value_bits", "params."),
             builder_params=dict(data.get("builder_params", {})),
             fault_config=None if fc is None else FaultConfig.from_cache_dict(fc),
             workload=WorkloadScript.from_json_list(data.get("workload", ())),
@@ -178,7 +187,7 @@ class ReproBundle:
             num_ops=data.get("num_ops"),
             max_ticks=data.get("max_ticks", 60_000),
             fingerprint=data.get("fingerprint", ""),
-            expected=ExpectedVerdict.from_json_dict(data["expected"]),
+            expected=ExpectedVerdict.from_json_dict(_required(data, "expected")),
             note=data.get("note", ""),
             trace_tail=tuple(data.get("trace_tail", ())),
         )

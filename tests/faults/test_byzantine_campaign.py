@@ -1,4 +1,4 @@
-"""Tier-2 Byzantine campaign: the full band over ABD and CAS.
+"""Byzantine campaign: the full band over ABD and CAS.
 
 The acceptance contract for ``repro chaos --byzantine 1``: the seeded
 campaign is byte-identical at any ``--jobs`` count, masked corruption
@@ -8,11 +8,7 @@ legitimate stalls are diagnosed ones.
 
 import json
 
-import pytest
-
 from repro.faults.campaign import run_campaign
-
-pytestmark = pytest.mark.tier2
 
 
 def _run(jobs=None):

@@ -20,9 +20,11 @@ from repro.cli import main as cli_main
 from repro.faults.campaign import campaign_task_payload, run_campaign
 from repro.parallel import FINGERPRINT_ENV, RunCache
 
-#: Two seeds so the identity claim covers the whole seeded config grid.
+#: Two seeds so the identity claim covers the whole seeded config grid,
+#: over replication and both coded algorithms.
 PARAMS = dict(
-    algorithms=("abd",), n=5, f=1, value_bits=6, seeds=[0, 1], num_ops=4
+    algorithms=("abd", "cas", "casgc"), n=5, f=1, value_bits=6,
+    seeds=[0, 1], num_ops=4,
 )
 
 
@@ -128,7 +130,8 @@ class TestCliByteIdentity:
 
 class TestRunCache:
     SMALL = dict(
-        algorithms=("abd",), n=5, f=1, value_bits=6, seeds=[0], num_ops=3
+        algorithms=("abd", "cas", "casgc"), n=5, f=1, value_bits=6,
+        seeds=[0], num_ops=3,
     )
 
     def test_warm_cache_executes_zero_runs(self, tmp_path, monkeypatch):

@@ -135,7 +135,6 @@ class TestObservabilityCommands:
         assert "satisfied" in out
         assert "VIOLATED" not in out
 
-    @pytest.mark.tier2
     def test_metrics_json_is_byte_identical_across_runs(self, capsys, tmp_path):
         import json
 

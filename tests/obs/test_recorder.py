@@ -112,7 +112,6 @@ class TestWiring:
         assert hist_total == trace_total
 
 
-@pytest.mark.tier2
 class TestDeterminism:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_observer_changes_no_scheduler_decision(self, seed):

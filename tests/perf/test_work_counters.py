@@ -1,8 +1,11 @@
-"""Deterministic work counters for the hot loops (tier-1, no timing).
+"""Deterministic work counters for the hot paths (tier-1, no timing).
 
-Counts calls into the per-step hot functions and bounds each by the
-work the run actually changed.  Counts are exact functions of the
-code, so the gates cannot flake.
+Counts calls into the hot functions and bounds each by the work the
+run actually changed, or pins it outright.  Counts are exact functions
+of the code, so the gates cannot flake.  Timing lives only in
+perfbench (``BENCHMARK.json``); a regression that changes only wall
+clock, such as a slower pool poll loop, is caught by its A/B runs, not
+here.
 
 The chaos step loop, over one instrumented campaign seed (ABD/CAS/CASGC
 x the ten fault shapes, N=5, f=1, 6-bit values, 10 operations per
@@ -14,7 +17,8 @@ run).  A silent fallback to any per-step rescan fails it:
   recoveries, plus one full count per run (the per-action rescan made
   35,390 calls);
 * ``Channel.__len__`` runs about once per delivery (the per-action
-  in-flight rescan made 275,832 calls);
+  in-flight rescan made 275,832 calls; so does an ``enabled_channels``
+  that rescans every channel);
 * the round-robin scheduler sorts ``enabled`` only when a channel it
   has not seen appears (it used to sort at every step).
 
@@ -31,42 +35,93 @@ fails it:
 * digests read no channel length (the full channel scan made 247,470
   ``Channel.__len__`` calls);
 * top-level process ``state_digest`` calls stay within two per visit
-  (re-digesting every process made 109,640 calls).
+  (re-digesting every process made 109,640 calls);
+* ``World.fork`` makes no ``copy.deepcopy`` call (the deepcopy fork
+  made 17 per fork of a mid-operation CAS world);
+* with sleep sets on, the same space takes 21,465 deliveries and
+  11,832 forks instead of 21,927 and 12,971, for the same 672
+  executions (an explorer that ignores ``por`` does the full work).
+
+The atomicity checker, on an 800-operation ABD history (N=3, f=1,
+4-bit values, 2 writers, 2 readers, seed 5).  The interval
+decomposition's gain is in the quadratic precedence-closure setup, so
+that is what is counted: no closure spans more intervals than the
+largest quiescent segment (221), and the distinct closures cover
+128,526 interval pairs where the monolithic search needs 640,000.
+Search states are not the measure: the decomposed search visits more
+of them (10,277 against 3,810).
+
+Tracing off costs nothing: an untraced fork, exploration and campaign
+call no method of ``NullObserver``, ``NullRegistry``,
+``NullSpanTracker`` or ``SimObserver`` beyond the falsy ``__bool__``
+guard, and build no ``TraceEvent``.  A truthy null observer, an
+unguarded hook call or a fork that deep-copies ``NO_OP`` fails it.
+
+The pool, over a 60-run campaign (ABD/CAS/CASGC x ten shapes x two
+seeds, 4 operations) at two jobs: one ``apply_async`` per chunk (8 at
+auto and at chunk 8, 60 at chunk 1; one per task is the old per-task
+dispatch), chunk items that pickle to 9,478 bytes with the payload
+codec against 11,430 without it, and every engine ``runtime`` counter
+zero.  That calls reuse one pool is pinned in
+``tests/parallel/test_pool.py``.
 """
 
 import collections
+import copy
 import functools
+import inspect
+import math
+import multiprocessing.pool
+import pickle
 
 import pytest
 
+import repro.consistency.atomicity as atomicity_module
 import repro.sim.scheduler as scheduler_module
+from repro.consistency.atomicity import check_atomicity
 from repro.faults.adversary import ChannelAdversary
 from repro.faults.campaign import CAMPAIGN_ALGORITHMS, run_campaign
-from repro.registers.abd import ABDServer
+from repro.obs.recorder import NullObserver, SimObserver
+from repro.obs.registry import NullRegistry
+from repro.obs.spans import NullSpanTracker
+from repro.obs.tracing import TraceEvent
+from repro.registers.abd import ABDServer, build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
-from repro.registers.cas import CASServer
+from repro.registers.cas import CASServer, build_cas_system
 from repro.sim.channel import Channel
 from repro.sim.network import World
 from repro.sim.process import Process
 from repro.verification.explore import explore_all_schedules
+from repro.workload.generator import run_random_workload
 
 N, F, VALUE_BITS, NUM_OPS, SEED = 5, 1, 6, 10, 1
+
+#: Engine knobs that would move campaign runs out of process.
+ENGINE_ENV = ("REPRO_JOBS", "REPRO_CHUNK", "REPRO_TASK_TIMEOUT")
+
+
+def _counting(tally, name, original, note=None):
+    """``original``, wrapped to count its calls in ``tally[name]``."""
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        tally[name] += 1
+        if note is not None:
+            note(args[0])
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+def _engine_defaults(patch):
+    for name in ENGINE_ENV:
+        patch.delenv(name, raising=False)
 
 
 @pytest.fixture(scope="module")
 def counts():
     """Call counts over one telemetry campaign seed, run in-process."""
     tally = collections.Counter()
-
-    def counted(name, original, note=None):
-        @functools.wraps(original)
-        def wrapper(self, *args, **kwargs):
-            tally[name] += 1
-            if note is not None:
-                note(self)
-            return original(self, *args, **kwargs)
-
-        return wrapper
 
     def unpartitioned(adversary):
         if adversary.partition is None:
@@ -77,8 +132,7 @@ def counts():
         return sorted(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("REPRO_JOBS", "REPRO_TASK_TIMEOUT"):
-            patch.delenv(name, raising=False)  # keep every run in-process
+        _engine_defaults(patch)
         for cls, attr, name, note in (
             (World, "deliver", "deliveries", None),
             (ChannelAdversary, "allows", "allows", unpartitioned),
@@ -86,7 +140,9 @@ def counts():
             (CASServer, "storage_bits", "storage_bits", None),
             (Channel, "__len__", "channel_len", None),
         ):
-            patch.setattr(cls, attr, counted(name, cls.__dict__[attr], note))
+            patch.setattr(
+                cls, attr, _counting(tally, name, cls.__dict__[attr], note)
+            )
         # Shadows the builtin inside the scheduler module only.
         patch.setattr(scheduler_module, "sorted", scheduler_sorted, raising=False)
         report = run_campaign(
@@ -146,19 +202,10 @@ def _explore_world():
     return world
 
 
-@pytest.fixture(scope="module")
-def explore_counts():
-    """Call counts over one exhaustive exploration, no POR."""
+def _explore_tally(por: bool) -> collections.Counter:
+    """Call counts over one exhaustive exploration of the explore config."""
     tally = collections.Counter()
     depth = [0]
-
-    def counted(name, original):
-        @functools.wraps(original)
-        def wrapper(*args, **kwargs):
-            tally[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
 
     def top_level(original):
         # A digest that calls another digest counts once.
@@ -190,14 +237,28 @@ def explore_counts():
             (Channel, "clone", "channel_clones"),
             (Channel, "__len__", "channel_len"),
         ):
-            patch.setattr(cls, attr, counted(name, vars(cls)[attr]))
+            patch.setattr(cls, attr, _counting(tally, name, vars(cls)[attr]))
         for cls in digest_owners:
             patch.setattr(cls, "state_digest", top_level(vars(cls)["state_digest"]))
-        result = explore_all_schedules(_explore_world, max_states=100_000)
+        result = explore_all_schedules(
+            _explore_world, max_states=100_000, por=por
+        )
     assert result.exhausted and result.ok
     tally["states"] = result.states_visited
     tally["executions"] = result.executions_checked
     return tally
+
+
+@pytest.fixture(scope="module")
+def explore_counts():
+    """Call counts over one exhaustive exploration, no POR."""
+    return _explore_tally(por=False)
+
+
+@pytest.fixture(scope="module")
+def por_explore_counts():
+    """The same exploration with sleep-set partial-order reduction."""
+    return _explore_tally(por=True)
 
 
 def test_exploration_work_is_unchanged(explore_counts):
@@ -205,6 +266,13 @@ def test_exploration_work_is_unchanged(explore_counts):
     assert explore_counts["executions"] == 672
     assert explore_counts["deliveries"] == 21_927
     assert explore_counts["forks"] == 12_971
+
+
+def test_sleep_sets_cut_deliveries_and_forks(explore_counts, por_explore_counts):
+    assert por_explore_counts["executions"] == explore_counts["executions"]
+    assert por_explore_counts["states"] == 10_306  # revisits that wake sleepers
+    assert por_explore_counts["deliveries"] == 21_465
+    assert por_explore_counts["forks"] == 11_832
 
 
 def test_forks_clone_only_the_receivers(explore_counts):
@@ -223,3 +291,157 @@ def test_digests_read_no_channel_length(explore_counts):
 def test_digests_reuse_unowned_processes(explore_counts):
     visits = explore_counts["deliveries"] + 1  # the root, then one per delivery
     assert explore_counts["state_digests"] <= 2 * visits
+
+
+def _mid_operation_world() -> World:
+    """A CAS world mid-write and mid-read: a representative fork subject."""
+    handle = build_cas_system(n=5, f=1, value_bits=12)
+    world = handle.world
+    world.invoke_write(handle.writer_ids[0], 7)
+    world.invoke_read(handle.reader_ids[0])
+    for _ in range(6):
+        world.step()
+    return world
+
+
+def test_forks_make_no_deep_copies():
+    world = _mid_operation_world()
+    tally = collections.Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        # copy's own recursion looks the name up here too, so nested
+        # deep copies are counted as well.
+        patch.setattr(copy, "deepcopy", _counting(tally, "deepcopy", copy.deepcopy))
+        for _ in range(100):
+            world.fork()
+    assert tally["deepcopy"] == 0
+
+
+def test_checker_closures_stay_within_quiescent_segments():
+    handle = build_abd_system(
+        n=3, f=1, value_bits=4, num_writers=2, num_readers=2
+    )
+    history = run_random_workload(handle, num_ops=800, seed=5).operations
+    assert len(history) == 800
+    segments = atomicity_module._segments(history)
+    largest = max(len(segment) for segment in segments)
+    assert largest == 221
+
+    def closure_sizes(**kwargs):
+        sizes = {}
+        closure = atomicity_module._closure_from_intervals
+
+        def spy(intervals):
+            sizes[intervals] = len(intervals)
+            return closure(intervals)
+
+        closure.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(atomicity_module, "_closure_from_intervals", spy)
+            verdict = check_atomicity(history, **kwargs)
+        return verdict, sizes
+
+    # The decomposed check runs through the default argument, so a
+    # default flipped to the monolithic search fails here.
+    decomposed, sizes = closure_sizes()
+    monolithic, mono_sizes = closure_sizes(decompose=False)
+    assert decomposed.ok == monolithic.ok
+    assert max(sizes.values()) <= largest
+    assert sum(n * n for n in sizes.values()) == 128_526
+    assert sum(n * n for n in mono_sizes.values()) == 800 * 800
+
+
+#: Observer classes an untraced run must never call into.
+NULL_SIDE = (NullObserver, NullRegistry, NullSpanTracker, SimObserver)
+
+
+@pytest.fixture(scope="module")
+def untraced_calls():
+    """Observer-method calls and TraceEvents over untraced work."""
+    tally = collections.Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        _engine_defaults(patch)
+        for cls in NULL_SIDE:
+            for name, attr in list(vars(cls).items()):
+                # ``__bool__`` is the falsy guard every hook site runs.
+                if inspect.isfunction(attr) and name != "__bool__":
+                    label = f"{cls.__name__}.{name}"
+                    patch.setattr(cls, name, _counting(tally, label, attr))
+        patch.setattr(
+            TraceEvent, "__init__",
+            _counting(tally, "TraceEvent", TraceEvent.__init__),
+        )
+        world = _mid_operation_world()
+        for _ in range(50):
+            world.fork()
+        explore_all_schedules(_explore_world, max_states=1_500, por=True)
+        report = run_campaign(
+            algorithms=("abd", "cas", "casgc"), n=N, f=F, value_bits=VALUE_BITS,
+            seeds=[SEED], num_ops=NUM_OPS, jobs=1, cache=None,
+        )
+    assert len(report.results) == 30
+    return tally
+
+
+def test_tracing_off_calls_no_observer_method(untraced_calls):
+    observer_calls = {
+        name: calls for name, calls in untraced_calls.items()
+        if name != "TraceEvent"
+    }
+    assert observer_calls == {}
+
+
+def test_tracing_off_builds_no_trace_event(untraced_calls):
+    assert untraced_calls["TraceEvent"] == 0
+
+
+DISPATCH_PARAMS = dict(
+    algorithms=("abd", "cas", "casgc"), n=N, f=F, value_bits=VALUE_BITS,
+    seeds=[0, 1], num_ops=4, jobs=2, cache=None,
+)
+DISPATCH_RUNS = 60
+
+
+@pytest.fixture(scope="module")
+def dispatches():
+    """Per chunk setting: the campaign report and every chunk shipped."""
+    items = []
+    original = multiprocessing.pool.Pool.apply_async
+
+    def spy(self, func, args=(), *rest, **kwargs):
+        items.append(args[0])  # the (fn, codec, rows) chunk item
+        return original(self, func, args, *rest, **kwargs)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        _engine_defaults(patch)
+        patch.setattr(multiprocessing.pool.Pool, "apply_async", spy)
+        for chunk in (0, 8, 1):  # 0 = auto
+            report = run_campaign(chunk=chunk, **DISPATCH_PARAMS)
+            out[chunk] = (report, list(items))
+            items.clear()
+    return out
+
+
+def test_one_round_trip_per_chunk(dispatches):
+    assert len(dispatches[0][1]) == 8  # auto: ceil(60 / (2 workers * 4))
+    for chunk in (8, 1):
+        assert len(dispatches[chunk][1]) == math.ceil(DISPATCH_RUNS / chunk)
+    for report, _ in dispatches.values():
+        assert len(report.results) == DISPATCH_RUNS
+        assert not any(report.runtime.values())  # no timeout or fallback
+
+
+def _uncoded(item):
+    """A chunk item as it would ship with every payload whole."""
+    fn, codec, rows = item
+    if codec is None:
+        return item
+    return fn, None, [(index, codec.decode(delta)) for index, delta in rows]
+
+
+def test_codec_shrinks_what_chunks_ship(dispatches):
+    items = dispatches[0][1]
+    coded = sum(len(pickle.dumps(item)) for item in items)
+    uncoded = sum(len(pickle.dumps(_uncoded(item))) for item in items)
+    assert coded == 9_478
+    assert coded < uncoded  # 11,430 bytes

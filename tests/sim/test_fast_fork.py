@@ -15,6 +15,7 @@ every write accessor (``process``, ``channel``, ``crash``, ``recover``,
 ``servers``/``clients``) is checked to stay invisible to the twin.
 """
 
+import copy
 import random
 
 import pytest
@@ -77,7 +78,7 @@ def test_fast_fork_twins_deepcopy_fork(seed):
     world = _random_world(seed)
     parent_digest = world_digest(world)
     fast = world.fork()
-    slow = world.deepcopy_fork()
+    slow = copy.deepcopy(world)
     assert world_digest(fast) == world_digest(slow) == parent_digest
 
     rng = random.Random(seed * 977 + 1)
@@ -115,7 +116,7 @@ def test_forked_twins_diverge_independently(seed):
     """Steps taken in one twin are invisible to the other."""
     world = _random_world(seed)
     fast = world.fork()
-    slow = world.deepcopy_fork()
+    slow = copy.deepcopy(world)
     enabled = fast.enabled_channels()
     if not enabled:
         pytest.skip("random point quiesced")
@@ -195,14 +196,14 @@ def test_parent_fork_and_oracle_step_interleaved(seed):
     does); all three stay equal after every step."""
     world = _random_world(seed)
     fork = world.fork()
-    oracle = world.deepcopy_fork()
+    oracle = copy.deepcopy(world)
     _step_interleaved([world, fork, oracle], random.Random(seed * 31 + 7))
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_fork_of_a_fork_steps_interleaved(seed):
     world = _random_world(seed)
-    oracle = world.deepcopy_fork()
+    oracle = copy.deepcopy(world)
     child = world.fork()
     rng = random.Random(seed * 53 + 11)
     # Diverge the child from its parent before forking it again, so
@@ -260,7 +261,7 @@ def test_writes_are_invisible_to_the_twin(write, writer):
     if setup is not None:
         setup(world, pid)
     fork = world.fork()
-    oracle = world.deepcopy_fork()
+    oracle = copy.deepcopy(world)
     before = world_digest(world)
     assert world_digest(fork) == before
     target, twin = (fork, world) if writer == "fork" else (world, fork)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults.campaign import FaultTimeline
 from repro.triage.bundle import (
     BUNDLE_SCHEMA,
@@ -52,6 +54,32 @@ def test_unknown_schema_rejected():
     doc["schema"] = "repro.bundle/999"
     with pytest.raises(ConfigurationError):
         ReproBundle.from_json_dict(doc)
+
+
+CORPUS = sorted((Path(__file__).resolve().parents[1] / "corpus").glob("*.json"))
+
+
+def _field_paths(doc, prefix=()):
+    """Every key path in ``doc``, into nested objects too."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_each_field_deletion_loads_or_raises_a_typed_error(path):
+    doc = json.loads(path.read_text())
+    for field in _field_paths(doc):
+        damaged = copy.deepcopy(doc)
+        parent = damaged
+        for key in field[:-1]:
+            parent = parent[key]
+        del parent[field[-1]]
+        try:
+            ReproBundle.from_json_dict(damaged)
+        except ReproError as exc:
+            assert ".".join(field) in str(exc), (field, exc)
 
 
 def test_chaos_bundle_requires_fault_config():

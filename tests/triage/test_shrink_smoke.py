@@ -1,4 +1,4 @@
-"""Tier-2 shrink smoke: minimize a rigged safety violation end-to-end.
+"""Shrink smoke: minimize a rigged safety violation end-to-end.
 
 The ``stale-tags`` tamper mode rewrites every tag in flight to the
 bottom tag, so ABD writes never install and a later read returns the
@@ -11,14 +11,10 @@ Run via ``make shrink-smoke``.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.triage.replay import execute_bundle
 from repro.triage.shrink import shrink_bundle
 
 from tests.triage.helpers import RIGGED_CONFIG, failure_bundle
-
-pytestmark = pytest.mark.tier2
 
 
 def test_rigged_violation_shrinks_to_minimal_pair():
