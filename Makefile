@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench campaign-scale perfbench resume-smoke examples verify-proofs figure1 chaos byzantine-smoke sweep metrics-smoke trace-smoke shrink-smoke golden docs-check clean
+.PHONY: install test bench campaign-scale perfbench resume-smoke examples verify-proofs explore-all figure1 chaos byzantine-smoke sweep metrics-smoke trace-smoke shrink-smoke golden docs-check clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -51,6 +51,20 @@ verify-proofs:
 	$(PYTHON) -m repro verify --theorem b1 --algorithm swmr-abd
 	$(PYTHON) -m repro verify --theorem 41 --algorithm swmr-abd --value-bits 2
 	$(PYTHON) -m repro verify --theorem 65 --algorithm cas --n 5 --f 1 --nu 2
+
+# Exhaustive write||read model check (repro explore, N=3, f=1) of every
+# algorithm under the default 100,000-state budget, about 80 s on two
+# CPUs.  Fails unless each search is exhausted and finds every explored
+# execution atomic.  Not part of the test suite.
+EXPLORE_ALGORITHMS ?= swmr-abd coded-swmr abd cas casgc
+explore-all:
+	@for a in $(EXPLORE_ALGORITHMS); do \
+		out=$$($(PYTHON) -m repro explore --algorithm $$a) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		case "$$out" in *exhausted=True*"atomic in every explored execution"*) ;; \
+			*) echo "explore-all: $$a not exhausted or not atomic"; exit 1;; \
+		esac; \
+	done
 
 figure1:
 	$(PYTHON) -m repro figure1 --plot

@@ -36,7 +36,7 @@ def _inversion_prefix_world():
 
 
 def bench_exhaustive_write_read(benchmark):
-    # one round: the exploration is deterministic and ~7s
+    # one round: the exploration is deterministic (about half a second)
     result = benchmark.pedantic(
         explore_all_schedules,
         args=(
@@ -74,7 +74,7 @@ def bench_inversion_counterexample(benchmark):
     emit(
         "verification",
         format_table(
-            ("experiment", "states", "maximal executions", "outcome"),
+            ("experiment", "states", "distinct terminal histories", "outcome"),
             [
                 (
                     "SWMR write||read, all schedules",

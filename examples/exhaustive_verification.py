@@ -5,7 +5,10 @@ Random testing samples interleavings; for small configurations the
 explorer enumerates all of them.  This example:
 
 1. exhaustively verifies that a SWMR-ABD write concurrent with a read
-   is atomic under *every* delivery schedule (~10^4 states);
+   is atomic under *every* delivery schedule (a few thousand states:
+   the explorer keys states on configuration and operation order, not
+   on the step counter, so schedules that differ only in timing are
+   explored once);
 2. mechanically *finds* a new/old-inversion schedule once a second,
    sequential read enters the picture — the counterexample that
    separates regular registers from atomic ones, discovered by search
@@ -46,10 +49,10 @@ def main() -> None:
         checker=lambda ops: check_atomicity(ops).ok and check_regular(ops).ok,
         max_states=50_000,
     )
-    print(f"   states explored:    {result.states_visited}")
-    print(f"   maximal executions: {result.executions_checked}")
-    print(f"   exhausted:          {result.exhausted}")
-    print(f"   violations:         {len(result.violations)}")
+    print(f"   states explored:             {result.states_visited}")
+    print(f"   distinct terminal histories: {result.executions_checked}")
+    print(f"   exhausted:                   {result.exhausted}")
+    print(f"   violations:                  {len(result.violations)}")
     assert result.exhausted and result.ok
     print("   => atomic AND regular in every schedule of this configuration\n")
 

@@ -386,6 +386,16 @@ class ChannelAdversary:
         """
         return clone_instance_state(self)
 
+    def state_digest(self) -> tuple:
+        """Everything the adversary's future decisions depend on.
+
+        The RNG stream position, the two counters its caps read, and
+        the active partition; the config is fixed for its lifetime.
+        Two adversaries with equal digests make identical decisions on
+        identical deliveries.  The other counters only report.
+        """
+        return (self.rng.getstate(), self.drops, self.duplicates, self.partition)
+
     # -- partition gate (consulted by World.enabled_channels) ----------------
 
     def allows(self, src: str, dst: str) -> bool:

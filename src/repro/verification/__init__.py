@@ -3,8 +3,9 @@
 Random schedules sample the interleaving space; the explorer in
 :mod:`repro.verification.explore` enumerates it *exhaustively* for
 small configurations: every choice of which channel delivers next, with
-state-digest deduplication, checking every maximal execution's history
-against a consistency checker.  This upgrades "atomic under 15 random
+states deduplicated on configuration and operation order (not on the
+step counter), checking every distinct terminal history against a
+consistency checker.  This upgrades "atomic under 15 random
 seeds" to "atomic under all schedules of this configuration".
 """
 

@@ -2,18 +2,53 @@
 
 Starting from a World with operations already invoked, the explorer
 branches on every enabled delivery action, deduplicates states by a
-full-configuration digest (processes, channels, and operation
-records — two states with equal digests behave identically forever,
-because the simulator is deterministic given the action sequence), and
-collects every *maximal* execution (no enabled actions left).  Each
-terminal history is passed to a checker; any violation is reported
-with the delivery schedule that produced it, giving a replayable
+*precedence key* (below), and collects every *maximal* execution (no
+enabled actions left), once per distinct terminal key.  Each terminal
+history is passed to a checker; any violation is reported with the
+delivery schedule that produced it, giving a replayable
 counterexample.
 
-Complexity is the number of distinct interleaving states, so keep
+Complexity is the number of distinct states under the key, so keep
 configurations tiny (3 servers, 2-3 operations).  ``max_states`` is a
 hard cap; hitting it marks the result ``exhausted=False`` (the
 explored prefix is still sound evidence — no violation found in it).
+
+The state key: configuration and operation order, not clock
+-----------------------------------------------------------
+
+A state is keyed on what decides its future and its verdict, and
+nothing else:
+
+* every process digest and every non-empty channel's contents;
+* per operation ``(op_id, kind, value, rank)``, where ``rank`` is the
+  number of invocations before the operation's response
+  (``bisect_left`` of its ``response_step`` into the invocation steps,
+  None while pending);
+* with a channel adversary installed, the adversary's decision state
+  (:meth:`~repro.faults.adversary.ChannelAdversary.state_digest`: RNG
+  position, drop and duplicate counters, active partition).
+
+The step counter and the absolute ``invoke_step``/``response_step``
+are left out, so interleavings that reach one configuration with an
+operation completed at a different step (one consumed a stale ack
+first, say) are explored once.  This is sound for two reasons.
+
+*Equal keys have equal continuations.*  The simulator is
+deterministic given the action sequence, and no protocol handler reads
+the step (``ctx.step`` feeds only observer spans).  Follow-ups fire when
+their trigger completes, which the key records (rank is not None), not
+at a step.  Later invocations all come after every recorded response,
+so no rank in the key changes along a continuation, and equal action
+sequences extend equal keys to equal keys.  Without the adversary term
+this fails: the adversary's RNG and caps decide each delivery's fate,
+and only the step counter used to keep those states apart.
+
+*Equal keys have equal verdicts.*  Invocation steps increase with
+``op_id``, and a response is never stamped at an invocation's step, so
+``a.response_step < b.invoke_step`` iff ``b.op_id >= rank(a)``: the key
+fixes every operation's value, completion and real-time precedence.
+A :data:`HistoryChecker` must decide on exactly those (the contract on
+:class:`ScheduleExplorer`); atomicity and regularity do.
 
 Partial-order reduction
 -----------------------
@@ -23,35 +58,36 @@ With ``por=True`` the explorer prunes redundant interleavings with
 target **different server** receivers: delivering to server ``b`` only
 mutates ``b``'s local state, consumes the head of one channel, and
 appends to the tails of ``b``'s outgoing channels — all disjoint from
-a delivery to server ``d != b``, and neither writes any step-indexed
-operation field.  Executing them in either order therefore reaches the
-*identical* World (same digest), so after exploring the subtree that
-starts with delivery ``a``, every sibling subtree may skip schedules
-that merely postpone ``a`` past deliveries independent of it.
-Deliveries to *clients* are never treated as independent: a client
-delivery may complete an operation (stamping ``response_step`` with
-the current step count) or fire a follow-up invocation, so its order
-relative to any other action is observable in the history the checker
-sees.  Violation verdicts and the ``exhausted`` flag are identical to
-the full exploration — only the number of explored interleavings
-shrinks — which ``tests/verification/test_por.py`` asserts on the seed
-configurations.
+a delivery to server ``d != b``, and neither completes nor invokes an
+operation.  Executing them in either order therefore reaches the
+*identical* key, so after exploring the subtree that starts with
+delivery ``a``, every sibling subtree may skip schedules that merely
+postpone ``a`` past deliveries independent of it.  Deliveries to
+*clients* are never treated as independent: a client delivery may
+complete an operation (fixing its rank) or fire a follow-up invocation
+(raising the rank of everything that completes later), so its order
+relative to other client actions is observable in the history the
+checker sees.  Violation verdicts and the ``exhausted`` flag are
+identical to the full exploration — only the number of explored
+interleavings shrinks — which ``tests/verification/test_por.py``
+asserts on the seed configurations.
 
-Sleep sets compose with digest deduplication the way Godefroid's
-state-matching variant prescribes: each stored digest remembers the
-sleep set it was explored with; a revisit whose sleep set is a
-superset is pruned outright, and a revisit that *wakes* previously
-slept actions re-explores only the difference (the woken actions),
-storing the intersection.  Everything explored earlier from the same
-digest acts as an already-covered sibling for the new pass.  Two
-invariants make this sound here: sleep sets only ever contain
-currently-enabled server-receiver deliveries (independent path actions
-never consume their channels, so they stay enabled), and the simulator
-is deterministic, so equal digests have identical continuations.
+Sleep sets compose with key deduplication the way Godefroid's
+state-matching variant prescribes: each stored key remembers the sleep
+set it was explored with; a revisit whose sleep set is a superset is
+pruned outright, and a revisit that *wakes* previously slept actions
+re-explores only the difference (the woken actions), storing the
+intersection.  Everything explored earlier from the same key acts as
+an already-covered sibling for the new pass.  Two invariants make this
+sound here: sleep sets only ever contain currently-enabled
+server-receiver deliveries (independent path actions never consume
+their channels, so they stay enabled), and equal keys have identical
+continuations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -59,7 +95,6 @@ from repro.consistency.atomicity import check_atomicity
 from repro.errors import ReproError
 from repro.sim.network import World
 from repro.sim.process import ClientProcess
-from repro.sim.snapshot import world_digest
 
 ChannelKey = Tuple[str, str]
 HistoryChecker = Callable[[list], bool]
@@ -80,6 +115,9 @@ class ExplorationResult:
     """Outcome of an exhaustive schedule exploration."""
 
     states_visited: int
+    #: Terminal states checked: one per distinct terminal history, as
+    #: the state key tells them apart (configuration, values and
+    #: precedence), however many schedules reach it.
     executions_checked: int
     exhausted: bool  # True iff the full interleaving space was covered
     violations: List[Tuple[Tuple[ChannelKey, ...], list]] = field(
@@ -105,16 +143,39 @@ class ExplorationResult:
         return self.violations[0] if self.violations else None
 
 
-def _full_digest(world: World) -> tuple:
-    ops = tuple(
-        (op.op_id, op.kind, op.value, op.invoke_step, op.response_step)
-        for op in world.operations
+def _state_key(world: World) -> tuple:
+    """The precedence key of a state (see the module docstring)."""
+    ops = world.operations
+    invoke_steps = [op.invoke_step for op in ops]
+    history = tuple(
+        (
+            op.op_id,
+            op.kind,
+            op.value,
+            None
+            if op.response_step is None
+            else bisect_left(invoke_steps, op.response_step),
+        )
+        for op in ops
     )
-    return (world_digest(world), ops)
+    adversary = world.adversary
+    return (
+        world.process_digests(),
+        world.channel_digests(),
+        history,
+        None if adversary is None else adversary.state_digest(),
+    )
 
 
 class ScheduleExplorer:
-    """Depth-first exhaustive exploration with digest deduplication.
+    """Depth-first exhaustive exploration with state-key deduplication.
+
+    The ``checker`` contract: a verdict is a function of the
+    operations' kinds, values, completion and real-time precedence
+    only, never of absolute ``invoke_step``/``response_step`` values.
+    The state key keeps exactly those (see the module docstring), so
+    each terminal history is checked once however many schedules reach
+    it, and a checker that read the steps could see only one of them.
 
     ``followups`` supports *sequential* operations (the ingredient a
     new/old inversion needs): each entry ``(trigger_op_id, invoke)``
@@ -164,7 +225,7 @@ class ScheduleExplorer:
         result = ExplorationResult(
             states_visited=0, executions_checked=0, exhausted=True
         )
-        #: digest -> intersection of the sleep sets it was explored with.
+        #: key -> intersection of the sleep sets it was explored with.
         visited: Dict[tuple, set] = {}
 
         # Tracing costs memory per fork and the schedule path already
@@ -196,7 +257,7 @@ class ScheduleExplorer:
             state: World, path: Tuple[ChannelKey, ...], sleep: frozenset
         ) -> None:
             self._fire_followups(state, base_ops)
-            key = _full_digest(state)
+            key = _state_key(state)
             enabled = state.enabled_channels()
             stored = visited.get(key)
             if stored is None:

@@ -6,8 +6,10 @@ from repro.consistency.atomicity import check_atomicity
 from repro.consistency.regularity import check_regular
 from repro.registers.abd import build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
+from repro.sim.snapshot import world_digest
 from repro.verification.explore import (
     ScheduleExplorer,
+    _state_key,
     explore_all_schedules,
     replay_schedule,
 )
@@ -23,8 +25,13 @@ def swmr_write_read_world():
 
 
 def inversion_prefix_world():
-    """write(1) done; write(2) has landed at one server; read1 invoked."""
-    h = build_swmr_abd_system(n=3, f=1, value_bits=2, num_readers=2)
+    """write(1) done; write(2) has landed at one server; read1 invoked.
+
+    The readers skip the write-back phase (regular, not atomic), so a
+    follow-up read can return an older value than read1 did."""
+    h = build_swmr_abd_system(
+        n=3, f=1, value_bits=2, num_readers=2, read_write_back=False
+    )
     w = h.world
     h.write(1)
     w.deliver_all()
@@ -42,8 +49,9 @@ class TestExhaustivePositive:
         """Every interleaving of a write and a concurrent read is both
         atomic and regular (a single read cannot witness an inversion).
 
-        This is exhaustive: ~10^4 states, ~700 maximal executions, the
-        complete interleaving space of the configuration.
+        This is exhaustive: the complete interleaving space of the
+        configuration, a few thousand states up to the clock and more
+        than ten distinct terminal histories.
         """
         result = explore_all_schedules(
             swmr_write_read_world,
@@ -53,8 +61,84 @@ class TestExhaustivePositive:
         )
         assert result.exhausted
         assert result.ok
-        assert result.executions_checked > 100
+        assert result.states_visited > 1_000
+        assert result.executions_checked >= 10
         assert result.incomplete_terminals == 0
+
+
+def _deliver(world, *channels):
+    for channel in channels:
+        world.deliver(*channel)
+    return world
+
+
+def one_reply_each_world():
+    """write(1) and read 1 each wait for their last reply (s001's);
+    s002 has crashed and dropped its messages."""
+    h = build_swmr_abd_system(n=3, f=1, value_bits=2, num_readers=2)
+    w = h.world
+    w.invoke_write("w000", 1)
+    w.invoke_read("r000")
+    w.crash("s002")
+    return _deliver(
+        w,
+        ("w000", "s000"), ("w000", "s001"), ("s000", "w000"),
+        ("r000", "s000"), ("r000", "s001"), ("s000", "r000"),
+        ("w000", "s002"), ("r000", "s002"),
+    )
+
+
+class TestStateKey:
+    def test_one_configuration_at_different_steps_has_one_key(self):
+        """A crash and recovery of an idle server adds two steps, and
+        interleaving read 1's replies with the write's acks moves the
+        write's response step; once the stale ack and reply are
+        consumed, the configuration is the same."""
+        h = build_swmr_abd_system(n=3, f=1, value_bits=2, num_readers=1)
+        early = h.world.fork()
+        late = h.world.fork()
+        late.crash("s002")
+        late.recover("s002")
+        for world in (early, late):
+            world.invoke_write("w000", 1)
+            world.invoke_read("r000")
+            _deliver(
+                world,
+                ("w000", "s000"), ("w000", "s001"), ("w000", "s002"),
+                ("r000", "s000"), ("r000", "s001"), ("r000", "s002"),
+            )
+        _deliver(
+            early,
+            ("s000", "w000"), ("s001", "w000"), ("s002", "w000"),
+            ("s000", "r000"), ("s001", "r000"), ("s002", "r000"),
+        )
+        _deliver(
+            late,
+            ("s000", "r000"), ("s000", "w000"), ("s001", "r000"),
+            ("s001", "w000"), ("s002", "r000"), ("s002", "w000"),
+        )
+        assert early.step_count != late.step_count
+        assert [op.response_step for op in early.operations] != [
+            op.response_step for op in late.operations
+        ]
+        assert world_digest(early) != world_digest(late)
+        assert _state_key(early) == _state_key(late)
+
+    def test_completion_before_or_after_a_followup_has_two_keys(self):
+        """Read 1 completes before, or after, the follow-up read that
+        the write's completion invokes: one configuration, two
+        histories (read 1 precedes read 2, or overlaps it)."""
+        before = _deliver(
+            one_reply_each_world(), ("s001", "r000"), ("s001", "w000")
+        )
+        before.invoke_read("r001")
+        after = _deliver(one_reply_each_world(), ("s001", "w000"))
+        after.invoke_read("r001")
+        _deliver(after, ("s001", "r000"))
+        assert before.step_count == after.step_count
+        assert before.process_digests() == after.process_digests()
+        assert before.channel_digests() == after.channel_digests()
+        assert _state_key(before) != _state_key(after)
 
 
 class TestCounterexampleHunt:

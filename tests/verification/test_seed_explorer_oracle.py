@@ -1,62 +1,156 @@
 """Differential oracle: the seed explorer loop against ScheduleExplorer.
 
 The seed explorer is the simplest correct exhaustive search: it forks
-every branch with ``copy.deepcopy``, deduplicates states by the same
-full-configuration digest, and applies no reduction.  The production
-explorer adds copy-on-write forks, in-place stepping of the last child
-and sleep sets; none of that may change what the search finds.
+every branch with ``copy.deepcopy``, applies no reduction, and keys
+each state on the concrete World — ``world_digest`` (step counter
+included), every operation's absolute ``invoke_step`` and
+``response_step``, and, under a channel adversary, the adversary's RNG
+position, cap counters and partition.  The production explorer keys states on
+configuration and operation order instead of the clock, forks
+copy-on-write, steps its last child in place and may use sleep sets;
+none of that may change what the search finds.
 
-* Without reduction, ``ScheduleExplorer`` must visit exactly the seed
-  loop's states and reach exactly its terminal histories.
-* With sleep sets (``por=True``) it may visit a different number of
-  states, but it must reach the same terminal histories with the same
-  verdicts.
+Both sides are compared through an abstraction computed here, from
+the histories alone: each operation's value and completion, and the
+set of pairs ``(a, b)`` with ``a.response_step < b.invoke_step``.
+With sleep sets on and off, ``ScheduleExplorer``
 
-The configuration is the ``repro explore`` default (SWMR-ABD, N=3,
-f=1, 2-bit values, write || read) advanced five scheduler steps, so
-the deepcopy loop stays around a second: 547 states, 108 executions.
+* reaches exactly the seed loop's set of ``(abstract history,
+  verdict)`` pairs, violations included;
+* checks each terminal once per distinct terminal state up to the
+  clock — (process digests, channel digests, abstract history,
+  adversary decision state): ``executions_checked`` equals the number
+  of those among the seed loop's terminals;
+* without sleep sets, visits exactly one state per distinct state up
+  to the clock that the seed loop reaches, and so no more states than
+  the seed loop.  A key that merges more (one that drops the
+  adversary's state, or keeps only whether each operation completed)
+  visits fewer.
+
+The configurations are the ``repro explore`` default advanced five
+steps, coded SWMR with k=2 advanced nine, the inversion prefix with its follow-up read (its readers skip
+the write-back phase, ``read_write_back=False``: a seeded atomicity
+bug both sides must find), a write that completes before or after a
+follow-up invocation, ``test_por.py``'s adversarial write world,
+and seeded random small configurations (SWMR-ABD or coded SWMR, an
+optional follow-up read and duplicating adversary, a random delivery
+prefix), each under about 1,500 concrete states.
 """
 
-import collections
 import copy
+import random
+
+import pytest
 
 from repro.consistency.atomicity import check_atomicity
 from repro.consistency.regularity import check_regular
+from repro.faults.adversary import AdversaryConfig, ChannelAdversary
+from repro.registers.abd_swmr import build_swmr_abd_system
+from repro.registers.coded_swmr import build_coded_swmr_system
 from repro.sim.snapshot import world_digest
 from repro.verification.explore import ScheduleExplorer
 
-from tests.verification.test_explore import swmr_write_read_world
+from tests.verification.test_explore import (
+    INVERSION_FOLLOWUPS,
+    inversion_prefix_world,
+    one_reply_each_world,
+    swmr_write_read_world,
+)
 
 
-def _history(ops) -> tuple:
+def _concrete(ops) -> tuple:
     return tuple(
         (op.op_id, op.kind, op.value, op.invoke_step, op.response_step)
         for op in ops
     )
 
 
+def _abstract(ops) -> tuple:
+    """Values, completion and real-time precedence; no step numbers."""
+    values = tuple((op.op_id, op.kind, op.value, op.is_complete) for op in ops)
+    precedes = frozenset(
+        (a.op_id, b.op_id)
+        for a in ops
+        for b in ops
+        if a.is_complete and a.response_step < b.invoke_step
+    )
+    return values, precedes
+
+
 def _checker(ops) -> bool:
     return check_atomicity(ops).ok and check_regular(ops).ok
 
 
-def _seed_explore(world):
-    """The seed explorer: deepcopy fork per branch, no reduction.
+def _adversary_state(world):
+    """The adversary's RNG position, the counters its caps read, and
+    its partition: what its next decisions depend on."""
+    adversary = world.adversary
+    if adversary is None:
+        return None
+    return (
+        adversary.rng.getstate(),
+        adversary.drops,
+        adversary.duplicates,
+        adversary.partition,
+    )
 
-    Returns ``(states, terminals)``, where ``terminals`` counts each
-    ``(history, verdict)`` over the maximal executions.
+
+def _second_read(world) -> None:
+    world.invoke_read("r001")
+
+
+def _fire_followups(state, followups, base_ops: int) -> None:
+    for index, (trigger, invoke) in enumerate(followups):
+        if len(state.operations) > base_ops + index:
+            continue
+        if not state.operations[trigger].is_complete:
+            break
+        invoke(state)
+
+
+def _abstract_state(state) -> tuple:
+    """A World up to the clock: configuration, abstract history and
+    the adversary's decision state."""
+    return (
+        state.process_digests(),
+        state.channel_digests(),
+        _abstract(state.operations),
+        _adversary_state(state),
+    )
+
+
+def _seed_explore(world, followups=()):
+    """The seed explorer: deepcopy fork per branch, concrete key, no
+    reduction.
+
+    Returns ``(states, outcomes, abstract_states, terminals)``: the
+    number of concrete states, the set of ``(abstract history,
+    verdict)`` pairs, and the sets of all and of terminal states up to
+    the clock (:func:`_abstract_state`).
     """
     visited = set()
-    terminals = collections.Counter()
+    outcomes = set()
+    abstract_states = set()
+    terminals = set()
+    base_ops = len(world.operations)
 
     def visit(state) -> None:
-        key = (world_digest(state), _history(state.operations))
+        _fire_followups(state, followups, base_ops)
+        key = (
+            world_digest(state),
+            _concrete(state.operations),
+            _adversary_state(state),
+        )
         if key in visited:
             return
         visited.add(key)
+        abstract = _abstract_state(state)
+        abstract_states.add(abstract)
         enabled = state.enabled_channels()
         if not enabled:
             ops = list(state.operations)
-            terminals[(_history(ops), _checker(ops))] += 1
+            outcomes.add((_abstract(ops), _checker(ops)))
+            terminals.add(abstract)
             return
         for choice in enabled:
             child = copy.deepcopy(state)
@@ -66,20 +160,41 @@ def _seed_explore(world):
     root = copy.deepcopy(world)
     root.record_trace = False
     visit(root)
-    return len(visited), terminals
+    return len(visited), outcomes, abstract_states, terminals
 
 
-def _explore(world, por: bool):
-    terminals = collections.Counter()
+def _explore(world, followups=(), por=False):
+    outcomes = set()
 
     def checker(ops) -> bool:
         verdict = _checker(ops)
-        terminals[(_history(ops), verdict)] += 1
+        outcomes.add((_abstract(ops), verdict))
         return verdict
 
-    result = ScheduleExplorer(checker=checker, por=por).explore(world)
+    result = ScheduleExplorer(
+        checker=checker, followups=followups, por=por
+    ).explore(world)
     assert result.exhausted
-    return result, terminals
+    return result, outcomes
+
+
+def _assert_agree(build, followups=()):
+    """Both explorer modes against the seed loop; returns the seed
+    loop's state count and outcomes and the unreduced explorer result."""
+    states, outcomes, abstract_states, terminals = _seed_explore(
+        build(), followups
+    )
+    full = None
+    for por in (False, True):
+        result, found = _explore(build(), followups, por)
+        assert found == outcomes, f"por={por}"
+        assert result.executions_checked == len(terminals), f"por={por}"
+        assert result.ok == all(verdict for _, verdict in outcomes)
+        if not por:
+            # One visit per state up to the clock: no more, no fewer.
+            assert result.states_visited == len(abstract_states) <= states
+            full = result
+    return states, outcomes, full
 
 
 def _stepped_world():
@@ -90,15 +205,141 @@ def _stepped_world():
 
 
 def test_explorer_matches_the_seed_loop():
-    states, terminals = _seed_explore(_stepped_world())
-    assert (states, sum(terminals.values())) == (547, 108)
+    states, outcomes, full = _assert_agree(_stepped_world)
+    assert states == 547
+    assert (full.states_visited, full.executions_checked) == (140, 9)
+    assert full.ok
 
-    full, full_terminals = _explore(_stepped_world(), por=False)
-    assert full.states_visited == states
-    assert full.executions_checked == sum(terminals.values())
-    assert full_terminals == terminals
 
-    reduced, reduced_terminals = _explore(_stepped_world(), por=True)
-    assert reduced.executions_checked == sum(terminals.values())
-    assert reduced_terminals == terminals
-    assert full.ok and reduced.ok
+def test_coded_swmr_matches_the_seed_loop():
+    """Coded SWMR with a real code (N=4, f=1, so k=2): write || read
+    advanced nine scheduler steps."""
+
+    def build():
+        handle = build_coded_swmr_system(n=4, f=1, value_bits=2)
+        world = handle.world
+        world.invoke_write(handle.writer_ids[0], 1)
+        world.invoke_read(handle.reader_ids[0])
+        for _ in range(9):
+            world.step()
+        return world
+
+    states, _, full = _assert_agree(build)
+    assert states == 622
+    assert (full.states_visited, full.executions_checked) == (190, 12)
+
+
+def test_inversion_prefix_with_its_followup_read():
+    """The seeded bug: the inversion prefix's readers skip the
+    write-back phase (``read_write_back=False``), so once read 1 has
+    returned the new value from s000 and s000 crashes, the follow-up
+    read can still see the old one.  Both sides find the new/old
+    inversion, reads [2, 1]."""
+
+    def build():
+        world = inversion_prefix_world()
+        for channel in (
+            ("r000", "s000"), ("r000", "s001"), ("s000", "r000"),
+            ("s000", "w000"), ("r000", "s002"), ("s002", "r000"),
+            ("s001", "r000"),
+        ):
+            world.deliver(*channel)
+        world.crash("s000")
+        return world
+
+    states, outcomes, full = _assert_agree(build, INVERSION_FOLLOWUPS)
+    assert states == 1_379
+    assert (full.states_visited, full.executions_checked) == (368, 4)
+    inversions = [
+        history
+        for history, verdict in outcomes
+        if not verdict
+        and [v for _, kind, v, _ in history[0] if kind == "read"] == [2, 1]
+    ]
+    assert inversions and not full.ok
+
+
+def test_completion_order_against_a_followup_invocation():
+    """The write and read 1 each wait for one last reply, and read 1's
+    completion invokes read 2.  Both orders of the two replies reach
+    one configuration, but the write precedes read 2 in one history
+    and overlaps it in the other: the key must keep them apart."""
+
+    states, outcomes, full = _assert_agree(
+        one_reply_each_world, [(1, _second_read)]
+    )
+    assert (states, full.states_visited, len(outcomes)) == (109, 56, 2)
+
+
+def _adversarial_world(seed: int):
+    """``test_por.py``'s adversarial write world, under ``seed``."""
+    handle = build_swmr_abd_system(n=3, f=1, value_bits=2, num_readers=1)
+    world = handle.world
+    world.adversary = ChannelAdversary(
+        AdversaryConfig(duplicate_probability=0.3, max_duplicates=2),
+        seed=seed,
+    )
+    world.invoke_write(handle.writer_ids[0], 1)
+    return world
+
+
+@pytest.mark.parametrize("seed", [9, 0])
+def test_adversarial_world_keys_the_adversary(seed):
+    """Duplicated deliveries reach one configuration under different
+    RNG positions and duplicate counts, and each is a different
+    future: the key must keep them apart."""
+    states, _, full = _assert_agree(lambda: _adversarial_world(seed))
+    assert full.states_visited < states
+
+
+def _random_config(seed: int):
+    """A seeded small configuration: ``(build, followups)``."""
+    rng = random.Random(seed)
+    coded = rng.random() < 0.5
+    followup = rng.random() < 0.5
+    write_back = rng.random() < 0.5
+    adversary_seed = rng.randrange(1_000) if rng.random() < 0.3 else None
+    prefix_seed = rng.randrange(1_000)
+    prefix_length = rng.randrange(8, 12)
+    readers = 2 if followup else 1
+
+    def build():
+        if coded:
+            handle = build_coded_swmr_system(
+                n=3, f=1, value_bits=2, num_readers=readers
+            )
+        else:
+            handle = build_swmr_abd_system(
+                n=3, f=1, value_bits=2, num_readers=readers,
+                read_write_back=write_back,
+            )
+        world = handle.world
+        if adversary_seed is not None:
+            world.adversary = ChannelAdversary(
+                AdversaryConfig(duplicate_probability=0.3, max_duplicates=1),
+                seed=adversary_seed,
+            )
+        world.invoke_write("w000", 1)
+        world.invoke_read("r000")
+        prefix = random.Random(prefix_seed)
+        for _ in range(prefix_length):
+            enabled = world.enabled_channels()
+            if not enabled:
+                break
+            world.deliver(*prefix.choice(enabled))
+        return world
+
+    return build, ([(1, _second_read)] if followup else [])
+
+
+#: Seeds of :func:`_random_config` whose seed-loop search stays under
+#: 500 concrete states (about a second), covering both algorithms,
+#: follow-ups, write-back on and off, and the adversary.
+RANDOM_SEEDS = (2, 6, 16, 28, 29, 40, 43, 44, 46, 52, 53)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_random_small_configurations(seed):
+    build, followups = _random_config(seed)
+    states, _, _ = _assert_agree(build, followups)
+    assert states < 500
