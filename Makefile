@@ -56,9 +56,8 @@ verify-proofs:
 # algorithm under the default 100,000-state budget, about 80 s on two
 # CPUs.  Fails unless each search is exhausted and finds every explored
 # execution atomic.  Not part of the test suite.
-EXPLORE_ALGORITHMS ?= swmr-abd coded-swmr abd cas casgc
 explore-all:
-	@for a in $(EXPLORE_ALGORITHMS); do \
+	@for a in swmr-abd coded-swmr abd cas casgc; do \
 		out=$$($(PYTHON) -m repro explore --algorithm $$a) || { echo "$$out"; exit 1; }; \
 		echo "$$out"; \
 		case "$$out" in *exhausted=True*"atomic in every explored execution"*) ;; \

@@ -74,7 +74,7 @@ def bench_inversion_counterexample(benchmark):
     emit(
         "verification",
         format_table(
-            ("experiment", "states", "distinct terminal histories", "outcome"),
+            ("experiment", "states", "distinct terminal states", "outcome"),
             [
                 (
                     "SWMR write||read, all schedules",

@@ -50,7 +50,7 @@ def main() -> None:
         max_states=50_000,
     )
     print(f"   states explored:             {result.states_visited}")
-    print(f"   distinct terminal histories: {result.executions_checked}")
+    print(f"   distinct terminal states:    {result.executions_checked}")
     print(f"   exhausted:                   {result.exhausted}")
     print(f"   violations:                  {len(result.violations)}")
     assert result.exhausted and result.ok

@@ -171,7 +171,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     print(
         f"{args.algorithm} write||read, N={args.n}, f={args.f}: "
         f"{result.states_visited} states, "
-        f"{result.executions_checked} distinct terminal histories, "
+        f"{result.executions_checked} distinct terminal states, "
         f"exhausted={result.exhausted}"
     )
     if result.violations:

@@ -4,8 +4,8 @@ Random schedules sample the interleaving space; the explorer in
 :mod:`repro.verification.explore` enumerates it *exhaustively* for
 small configurations: every choice of which channel delivers next, with
 states deduplicated on configuration and operation order (not on the
-step counter), checking every distinct terminal history against a
-consistency checker.  This upgrades "atomic under 15 random
+step counter), checking each distinct terminal state's history against
+a consistency checker.  This upgrades "atomic under 15 random
 seeds" to "atomic under all schedules of this configuration".
 """
 

@@ -115,9 +115,11 @@ class ExplorationResult:
     """Outcome of an exhaustive schedule exploration."""
 
     states_visited: int
-    #: Terminal states checked: one per distinct terminal history, as
-    #: the state key tells them apart (configuration, values and
-    #: precedence), however many schedules reach it.
+    #: Terminal states checked: one per distinct terminal state key
+    #: (configuration plus values and precedence), however many
+    #: schedules reach it.  Terminals that differ only in server or
+    #: client state count separately, so this can exceed the number of
+    #: distinct histories.
     executions_checked: int
     exhausted: bool  # True iff the full interleaving space was covered
     violations: List[Tuple[Tuple[ChannelKey, ...], list]] = field(
@@ -174,7 +176,7 @@ class ScheduleExplorer:
     operations' kinds, values, completion and real-time precedence
     only, never of absolute ``invoke_step``/``response_step`` values.
     The state key keeps exactly those (see the module docstring), so
-    each terminal history is checked once however many schedules reach
+    each terminal state is checked once however many schedules reach
     it, and a checker that read the steps could see only one of them.
 
     ``followups`` supports *sequential* operations (the ingredient a

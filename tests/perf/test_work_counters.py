@@ -24,7 +24,7 @@ run).  A silent fallback to any per-step rescan fails it:
 
 Schedule exploration, as ``repro explore`` runs it by default
 (SWMR-ABD, N=3, f=1, 2-bit values, write || read, no partial-order
-reduction): 2,243 states, 18 distinct terminal histories, 8,097
+reduction): 2,243 states, 18 distinct terminal states, 8,097
 deliveries and 5,873 forks.  Keyed on the step counter and absolute
 operation steps, the same space took 9,629 states, 672 terminals,
 21,927 deliveries and 12,971 forks; the figures in parentheses below

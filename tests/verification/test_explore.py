@@ -51,7 +51,7 @@ class TestExhaustivePositive:
 
         This is exhaustive: the complete interleaving space of the
         configuration, a few thousand states up to the clock and more
-        than ten distinct terminal histories.
+        than ten distinct terminal states.
         """
         result = explore_all_schedules(
             swmr_write_read_world,
