@@ -122,10 +122,12 @@ shrink-smoke:
 	$(PYTHON) -m pytest tests/triage/test_shrink_smoke.py -q
 
 # Regenerate the golden output set under tests/golden/ (a chaos campaign
-# with the Byzantine band, the sweep tables, a metrics batch and a small
-# measured Figure 1).  Tier-1 tests/golden/test_golden.py diffs fresh
-# builds at --jobs 1 and 2 against these files; run this only when an
-# output change is intentional, and commit the diff with it.
+# with the Byzantine band, the sweep tables, a metrics batch, a single
+# metrics run as JSON and JSONL, a trace capture and its Chrome export,
+# campaign analytics and a small measured Figure 1).  Tier-1
+# tests/golden/test_golden.py diffs fresh builds at --jobs 1 and 2
+# against these files; run this only when an output change is
+# intentional, and commit the diff with it.
 golden:
 	$(PYTHON) -m tests.golden.build
 
