@@ -18,25 +18,25 @@ Run:  python examples/metrics_tour.py
 
 from repro.analysis.figure1 import FIGURE1_F, FIGURE1_N
 from repro.core.bounds import evaluate_bounds
-from repro.obs.runner import run_instrumented_workload
+from repro.obs.analytics import max_concurrent_writes
+from repro.obs.recorder import SimObserver
 from repro.registers.abd import build_abd_system
 from repro.registers.cas import build_cas_system
 from repro.util.tables import format_table
+from repro.workload.generator import run_random_workload
 
 N, F, VALUE_BITS = FIGURE1_N, FIGURE1_F, 8
 NUM_OPS, SEED = 14, 1
 
 
 def instrumented_run(name):
-    if name == "abd":
-        handle = build_abd_system(
-            n=N, f=F, value_bits=VALUE_BITS, num_writers=3, num_readers=2
-        )
-    else:
-        handle = build_cas_system(
-            n=N, f=F, value_bits=VALUE_BITS, num_writers=3, num_readers=2
-        )
-    return run_instrumented_workload(handle, num_ops=NUM_OPS, seed=SEED)
+    """Attach an observer, run the seeded workload; return both."""
+    build = build_abd_system if name == "abd" else build_cas_system
+    handle = build(n=N, f=F, value_bits=VALUE_BITS, num_writers=3, num_readers=2)
+    observer = handle.world.obs = SimObserver()
+    result = run_random_workload(handle, num_ops=NUM_OPS, seed=SEED)
+    nu = max(1, max_concurrent_writes(handle.world.operations))
+    return observer, result, nu
 
 
 def main() -> None:
@@ -47,9 +47,8 @@ def main() -> None:
 
     # -- observed peak storage vs the Figure 1 bound curves ------------------
     rows = []
-    for name, run in runs.items():
-        reg = run.observer.registry
-        nu = run.nu_observed()
+    for name, (observer, _, nu) in runs.items():
+        reg = observer.registry
         peak = reg.series["storage.total_bits"].max_value()
         normalized = peak / VALUE_BITS
         bounds = evaluate_bounds(N, F, nu)
@@ -71,12 +70,12 @@ def main() -> None:
     print("  exceeds ABD's steady N copies.)\n")
 
     # -- communication + phase telemetry from the same runs ------------------
-    for name, run in runs.items():
-        reg = run.observer.registry
+    for name, (observer, result, _) in runs.items():
+        reg = observer.registry
         print(f"{name}: {reg.counter('sim.messages_sent').value} messages, "
               f"{reg.counter('sim.message_bits_sent').value} bits on the wire, "
-              f"{run.result.steps} steps")
-        stats = run.observer.spans.stats()
+              f"{result.steps} steps")
+        stats = observer.spans.stats()
         print(format_table(
             ("phase", "count", "mean steps", "max steps"),
             [
@@ -86,7 +85,7 @@ def main() -> None:
             ".1f",
             indent="  ",
         ))
-        open_spans = run.observer.spans.open_spans()
+        open_spans = observer.spans.open_spans()
         assert not open_spans, f"unclosed spans in {name}: {open_spans}"
         print()
 

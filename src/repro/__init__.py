@@ -82,7 +82,6 @@ from repro.obs import (
     MetricsReport,
     SimObserver,
     SpanTracker,
-    run_instrumented_workload,
 )
 from repro.verification import ScheduleExplorer, explore_all_schedules
 from repro.workload import run_random_workload, run_sequential_workload
@@ -153,5 +152,4 @@ __all__ = [
     "MetricsReport",
     "SimObserver",
     "SpanTracker",
-    "run_instrumented_workload",
 ]

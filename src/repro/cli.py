@@ -534,72 +534,85 @@ def _build_client_system(
     )
 
 
-def _build_for_metrics(args: argparse.Namespace):
-    """Build the requested system with the workload's client population."""
-    return _build_client_system(
-        args.algorithm, args.n, args.f, args.value_bits,
-        args.writers, args.readers,
-    )
+def _metrics_payload(args: argparse.Namespace, seed: int) -> dict:
+    """The picklable description of one seeded ``repro metrics`` run."""
+    return {
+        "algorithm": args.algorithm,
+        "n": args.n,
+        "f": args.f,
+        "value_bits": args.value_bits,
+        "writers": args.writers,
+        "readers": args.readers,
+        "ops": args.ops,
+        "read_fraction": args.read_fraction,
+        "seed": seed,
+    }
 
 
-def _metrics_task(payload: dict) -> dict:
-    """One seeded instrumented run; the ``metrics --runs`` pool task.
+def _observed_run(payload: dict):
+    """Run one seeded random workload with a ``SimObserver`` attached.
 
-    Returns the per-run meta plus the worker's full
-    :class:`~repro.obs.registry.MetricsRegistry` (picklable), which the
-    parent merges in seed order via the registry ``merge`` API.
+    Returns the observer and the run's summary row: steps, the observed
+    ν (peak concurrent writes, at least 1) and the peak storage the
+    observer sampled.  The observer only reads state, so the schedule
+    is the uninstrumented run's.
     """
-    from repro.obs.runner import run_instrumented_workload
+    from repro.obs.analytics import max_concurrent_writes
+    from repro.obs.recorder import SimObserver
+    from repro.workload.generator import run_random_workload
 
     handle = _build_client_system(
         payload["algorithm"], payload["n"], payload["f"],
         payload["value_bits"], payload["writers"], payload["readers"],
     )
-    run = run_instrumented_workload(
+    observer = handle.world.obs = SimObserver()
+    result = run_random_workload(
         handle,
-        num_ops=payload["ops"],
+        payload["ops"],
         seed=payload["seed"],
         read_fraction=payload["read_fraction"],
     )
-    registry = run.observer.registry
-    total = registry.series.get("storage.total_bits")
-    max_server = registry.series.get("storage.max_server_bits")
-    return {
+    total = observer.registry.series.get("storage.total_bits")
+    max_server = observer.registry.series.get("storage.max_server_bits")
+    return observer, {
         "seed": payload["seed"],
-        "steps": run.result.steps,
-        "nu_observed": run.nu_observed(),
+        "steps": result.steps,
+        "nu_observed": max(1, max_concurrent_writes(handle.world.operations)),
         "peak_total_bits": total.max_value() if total else None,
         "peak_max_server_bits": max_server.max_value() if max_server else None,
-        "registry": registry,
     }
+
+
+def _metrics_task(payload: dict) -> dict:
+    """One seeded instrumented run; the ``metrics --runs`` pool task.
+
+    Returns the run's summary row plus the worker's full
+    :class:`~repro.obs.registry.MetricsRegistry` (picklable), which the
+    parent merges in seed order via the registry ``merge`` API.
+    """
+    observer, row = _observed_run(payload)
+    return {**row, "registry": observer.registry}
 
 
 def _metrics_batch(args: argparse.Namespace) -> int:
     """``repro metrics --runs K``: K seeded runs, merged registry report."""
     import json as _json
 
+    from repro.obs.registry import MetricsRegistry
     from repro.obs.report import storage_bound_rows
-    from repro.obs.runner import merge_registries
     from repro.parallel.pool import run_tasks
 
     payloads = [
-        {
-            "algorithm": args.algorithm,
-            "n": args.n,
-            "f": args.f,
-            "value_bits": args.value_bits,
-            "writers": args.writers,
-            "readers": args.readers,
-            "ops": args.ops,
-            "read_fraction": args.read_fraction,
-            "seed": seed,
-        }
+        _metrics_payload(args, seed)
         for seed in range(args.seed, args.seed + args.runs)
     ]
     results = run_tasks(
         _metrics_task, payloads, jobs=args.jobs, chunk=args.chunk
     )
-    merged = merge_registries(r["registry"] for r in results)
+    # Fold in seed order, so the merged snapshot is the same at any --jobs.
+    merged = MetricsRegistry()
+    for r in results:
+        merged.merge(r["registry"])
     nu = max(r["nu_observed"] for r in results)
     totals = [r["peak_total_bits"] for r in results if r["peak_total_bits"] is not None]
     maxes = [
@@ -682,18 +695,26 @@ def _metrics_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs.runner import run_instrumented_workload
+    from repro.obs.report import MetricsReport, storage_bound_rows
 
     if args.runs > 1:
         return _metrics_batch(args)
-    handle = _build_for_metrics(args)
-    run = run_instrumented_workload(
-        handle,
-        num_ops=args.ops,
-        seed=args.seed,
-        read_fraction=args.read_fraction,
+    observer, row = _observed_run(_metrics_payload(args, args.seed))
+    meta = {
+        "algorithm": args.algorithm,
+        "n": args.n,
+        "f": args.f,
+        "value_bits": args.value_bits,
+        "num_ops": args.ops,
+        "seed": args.seed,
+        "steps": row["steps"],
+        "nu_observed": row["nu_observed"],
+    }
+    bound_rows = storage_bound_rows(
+        args.n, args.f, args.value_bits, row["nu_observed"],
+        row["peak_total_bits"], row["peak_max_server_bits"],
     )
-    report = run.report()
+    report = MetricsReport(meta, observer, bound_rows=bound_rows)
     print(report.format())
     if args.json:
         report.write_json(args.json)
@@ -735,24 +756,44 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.runner import profile_table, run_instrumented_workload
+    import time
 
-    handle = _build_for_metrics(args)
-    run = run_instrumented_workload(
-        handle,
-        num_ops=args.ops,
-        seed=args.seed,
-        read_fraction=args.read_fraction,
-        record_wall=True,
+    from repro.obs.recorder import SimObserver
+    from repro.workload.generator import run_random_workload
+
+    handle = _build_client_system(
+        args.algorithm, args.n, args.f, args.value_bits,
+        args.writers, args.readers,
     )
+    observer = handle.world.obs = SimObserver(record_wall=True)
+    start = time.perf_counter()
+    result = run_random_workload(
+        handle, args.ops, seed=args.seed, read_fraction=args.read_fraction
+    )
+    wall = time.perf_counter() - start
     print(
-        f"{args.algorithm}: {args.ops} ops, {run.result.steps} steps, "
-        f"{run.wall_seconds * 1e3:.1f} ms wall "
-        f"({run.result.steps / max(run.wall_seconds, 1e-9):.0f} steps/s)"
+        f"{args.algorithm}: {args.ops} ops, {result.steps} steps, "
+        f"{wall * 1e3:.1f} ms wall "
+        f"({result.steps / max(wall, 1e-9):.0f} steps/s)"
     )
     print()
-    print(profile_table(run))
-    open_spans = run.observer.spans.open_spans()
+    # Per-phase step counts, plus wall clock where the spans recorded it.
+    spans = observer.spans
+    wall_stats = spans.wall_stats()
+    rows = []
+    for name, s in spans.stats().items():
+        w = wall_stats.get(name)
+        rows.append((
+            name, s["count"], s["total_steps"], s["mean_steps"],
+            s["max_steps"],
+            f"{1e3 * w['total_seconds']:.3f}" if w else "-",
+            f"{1e3 * w['mean_seconds']:.3f}" if w else "-",
+        ))
+    print(format_table(
+        ["phase", "count", "steps", "mean", "max", "wall_ms", "wall_ms/op"],
+        rows, float_fmt=".2f", indent="  ",
+    ))
+    open_spans = spans.open_spans()
     if open_spans:
         print(f"\nWARNING: {len(open_spans)} span(s) never closed")
     return 0

@@ -9,9 +9,9 @@ contract of ABD/CAS/CASGC can be stressed empirically:
 * :mod:`repro.faults.adversary` — seeded message drops, duplication,
   bounded reordering, and dynamic network partitions, installed on a
   World via ``world.adversary``;
-* :mod:`repro.faults.recovery` — timed crash/recover schedules
-  (generalizing :class:`repro.sim.failures.FailurePattern`) with a
-  concurrent-failures budget check;
+* :mod:`repro.faults.recovery` — timed crash/recover schedules, the
+  one crash mechanism (an event without a recovery tick is a permanent
+  crash), with a concurrent-failures budget check;
 * :mod:`repro.faults.watchdog` — liveness monitoring that converts
   silent hangs into structured diagnoses;
 * :mod:`repro.faults.campaign` — the chaos campaign runner sweeping

@@ -36,9 +36,8 @@ Fault semantics
   otherwise keeps; it exists so the triage subsystem
   (:mod:`repro.triage`) has a reproducible, *known* atomicity
   violation to bundle, shrink, and regression-test against.  No
-  campaign fault shape ever enables it.  Modes live in a registry
-  (:func:`register_tamper_mode`) so new ones get one registration
-  point and config validation can list what exists.
+  campaign fault shape ever enables it.  Modes live in one table
+  (``_TAMPER_MODES``), so config validation can list what exists.
 * **Byzantine servers** — a :class:`ByzantineConfig` marks up to
   ``f_b`` servers as corrupt and assigns each a *role* describing how
   its traffic is falsified in flight (the server code itself stays
@@ -94,33 +93,12 @@ def _rewrite(message: Message, **changes) -> Message:
 
 
 # ---------------------------------------------------------------------------
-# Tamper-mode registry
+# Tamper modes
 # ---------------------------------------------------------------------------
 
 #: A tamper function returns the corrupted message, or None to leave the
 #: delivery untouched.  It must be deterministic and consume no RNG.
 TamperFn = Callable[[str, str, Message], Optional[Message]]
-
-_TAMPER_MODES: Dict[str, TamperFn] = {}
-
-
-def register_tamper_mode(name: str, fn: TamperFn) -> None:
-    """Register a rigged tamper mode under ``name`` (one per name)."""
-    if not name:
-        raise ConfigurationError("tamper mode name must be non-empty")
-    if name in _TAMPER_MODES:
-        raise ConfigurationError(f"tamper mode {name!r} is already registered")
-    _TAMPER_MODES[name] = fn
-
-
-def unregister_tamper_mode(name: str) -> None:
-    """Remove a registered tamper mode (test hook)."""
-    _TAMPER_MODES.pop(name, None)
-
-
-def tamper_mode_names() -> Tuple[str, ...]:
-    """All registered tamper modes, sorted (for error messages)."""
-    return tuple(sorted(_TAMPER_MODES))
 
 
 def _stale_tags_tamper(src: str, dst: str, message: Message) -> Optional[Message]:
@@ -130,7 +108,13 @@ def _stale_tags_tamper(src: str, dst: str, message: Message) -> Optional[Message
     return _rewrite(message, tag=_INITIAL_TAG_TUPLE)
 
 
-register_tamper_mode("stale-tags", _stale_tags_tamper)
+#: Every rigged tamper mode, by ``AdversaryConfig.tamper_mode`` name.
+_TAMPER_MODES: Dict[str, TamperFn] = {"stale-tags": _stale_tags_tamper}
+
+
+def tamper_mode_names() -> Tuple[str, ...]:
+    """All tamper modes, sorted (for error messages)."""
+    return tuple(sorted(_TAMPER_MODES))
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +296,9 @@ class AdversaryConfig:
     #: Hard caps keeping executions finite under high probabilities.
     max_drops: Optional[int] = None
     max_duplicates: int = 256
-    #: Rigged-adversary mode: "" (honest) or a mode registered via
-    #: :func:`register_tamper_mode` (e.g. "stale-tags", a deliberate
-    #: safety violation used by the triage subsystem's known-failure
-    #: injection).
+    #: Rigged-adversary mode: "" (honest) or a ``_TAMPER_MODES`` name
+    #: (e.g. "stale-tags", a deliberate safety violation used by the
+    #: triage subsystem's known-failure injection).
     tamper_mode: str = ""
     #: Byzantine server band: None = all servers honest.
     byzantine: Optional[ByzantineConfig] = None
@@ -344,7 +327,7 @@ class AdversaryConfig:
         if self.tamper_mode and self.tamper_mode not in _TAMPER_MODES:
             raise ConfigurationError(
                 f"unknown tamper_mode {self.tamper_mode!r} "
-                f"(registered modes: {', '.join(tamper_mode_names())})"
+                f"(valid modes: {', '.join(tamper_mode_names())})"
             )
         if self.byzantine is not None:
             self.byzantine.validate()

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.consistency.atomicity import check_atomicity
 from repro.consistency.history import History
-from repro.errors import StuckExecutionError
+from repro.errors import ConfigurationError, StuckExecutionError
 from repro.faults.adversary import (
     BYZANTINE_ROLE_NAMES,
     AdversaryConfig,
@@ -485,22 +485,7 @@ class ChaosRunResult:
             "safety_ok": self.safety_ok,
             "safety_reason": self.safety_reason,
             "diagnosis": (
-                None
-                if self.diagnosis is None
-                else {
-                    "verdict": self.diagnosis.verdict,
-                    "detail": self.diagnosis.detail,
-                    "step": self.diagnosis.step,
-                    "pending_ops": list(self.diagnosis.pending_ops),
-                    "blocked_channels": [
-                        list(key) for key in self.diagnosis.blocked_channels
-                    ],
-                    "undelivered": self.diagnosis.undelivered,
-                    "live_servers": list(self.diagnosis.live_servers),
-                    "byzantine_servers": list(
-                        self.diagnosis.byzantine_servers
-                    ),
-                }
+                None if self.diagnosis is None else self.diagnosis.to_json_dict()
             ),
             "steps": self.steps,
             "fault_stats": dict(self.fault_stats),
@@ -519,7 +504,22 @@ class ChaosRunResult:
 
     @classmethod
     def from_cache_dict(cls, data: dict) -> "ChaosRunResult":
-        """Rebuild a result from :meth:`to_cache_dict` output."""
+        """Rebuild a result from :meth:`to_cache_dict` output.
+
+        A missing field (``config.name`` and the diagnosis fields
+        included) raises :class:`~repro.errors.ConfigurationError`
+        naming it, so a damaged journal or cache entry is a miss that
+        :func:`run_campaign` re-executes, never a crash.
+        """
+        for key in (
+            "algorithm", "config", "invoked", "completed", "live", "safety_ok",
+            "safety_reason", "diagnosis", "steps", "fault_stats", "crashes",
+            "recoveries",
+        ):
+            if key not in data:
+                raise ConfigurationError(f"chaos result field {key!r} is missing")
+        if "name" not in data["config"]:
+            raise ConfigurationError("chaos result field 'config.name' is missing")
         diag = data["diagnosis"]
         timeline = data.get("timeline")
         return cls(
@@ -530,24 +530,7 @@ class ChaosRunResult:
             live=data["live"],
             safety_ok=data["safety_ok"],
             safety_reason=data["safety_reason"],
-            diagnosis=(
-                None
-                if diag is None
-                else Diagnosis(
-                    verdict=diag["verdict"],
-                    detail=diag["detail"],
-                    step=diag["step"],
-                    pending_ops=tuple(diag["pending_ops"]),
-                    blocked_channels=tuple(
-                        tuple(key) for key in diag["blocked_channels"]
-                    ),
-                    undelivered=diag["undelivered"],
-                    live_servers=tuple(diag["live_servers"]),
-                    byzantine_servers=tuple(
-                        diag.get("byzantine_servers", ())
-                    ),
-                )
-            ),
+            diagnosis=None if diag is None else Diagnosis.from_json_dict(diag),
             steps=data["steps"],
             fault_stats=dict(data["fault_stats"]),
             crashes=data["crashes"],
@@ -966,19 +949,7 @@ class CampaignReport:
                         None
                         if r.diagnosis is None
                         else {
-                            "verdict": r.diagnosis.verdict,
-                            "detail": r.diagnosis.detail,
-                            "step": r.diagnosis.step,
-                            "pending_ops": list(r.diagnosis.pending_ops),
-                            "blocked_channels": [
-                                list(key)
-                                for key in r.diagnosis.blocked_channels
-                            ],
-                            "undelivered": r.diagnosis.undelivered,
-                            "live_servers": list(r.diagnosis.live_servers),
-                            "byzantine_servers": list(
-                                r.diagnosis.byzantine_servers
-                            ),
+                            **r.diagnosis.to_json_dict(),
                             "summary": r.diagnosis.summary(),
                         }
                     ),
@@ -1174,7 +1145,8 @@ def run_campaign(
     (completion order, not report order); runs already in the journal
     are pre-filled exactly like cache hits, so a killed campaign
     resumed from its journal re-executes only what is missing and
-    produces a byte-identical report.
+    produces a byte-identical report.  A journal or cache entry that
+    does not load (a field is missing) is a miss: its run re-executes.
 
     ``fail_fast`` stops at the first unacceptable run; the report then
     holds exactly the runs up to and including the failure.  The
@@ -1206,12 +1178,17 @@ def run_campaign(
     slots: List[dict] = [UNSET] * len(tasks)  # type: ignore[list-item]
     prefilled: set = set()
     for index in range(len(tasks)):
-        hit = journal.get(keys[index]) if journal is not None else None
-        if hit is None and cache is not None:
-            hit = cache.get(keys[index])
-        if hit is not None:
+        for store in (journal, cache):
+            hit = store.get(keys[index]) if store is not None else None
+            if hit is None:
+                continue
+            try:
+                ChaosRunResult.from_cache_dict(hit)
+            except ConfigurationError:
+                continue  # a damaged entry is a miss: the run re-executes
             slots[index] = hit
             prefilled.add(index)
+            break
     pending = [i for i in range(len(tasks)) if i not in prefilled]
 
     emitted = 0

@@ -1,10 +1,11 @@
-"""Timed crash/recover schedules, generalizing ``FailurePattern``.
+"""Timed crash/recover schedules: the one crash mechanism of a run.
 
 A :class:`CrashRecoverySchedule` is a declarative timeline of crash and
 recovery events driven by an external *tick* clock (the chaos driver's
 loop counter, not ``World.step_count`` — the world can be momentarily
 unable to step while partitioned, but the driver's clock always
-advances, so scheduled heals and recoveries still fire).
+advances, so scheduled heals and recoveries still fire).  An event
+with no recovery tick is a permanent crash, the paper's failure model.
 
 The liveness contract of every algorithm in this repo is "operations
 terminate while *concurrently failed* servers stay within ``f``".  A
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.failures import FailurePattern
 from repro.sim.network import World
 
 #: One timeline entry: (pid, crash_tick, recover_tick-or-None).
@@ -32,13 +32,6 @@ class CrashRecoverySchedule:
     """Which processes crash when, and when (if ever) they rejoin."""
 
     events: Tuple[CrashEvent, ...] = ()
-
-    @classmethod
-    def from_pattern(cls, pattern: FailurePattern) -> "CrashRecoverySchedule":
-        """Lift a crash-only :class:`FailurePattern` (no recoveries)."""
-        events = [(pid, 0, None) for pid in pattern.initial]
-        events += [(pid, tick, None) for pid, tick in pattern.timed]
-        return cls(tuple(events))
 
     def pids(self) -> Tuple[str, ...]:
         """All process ids named by the schedule, sorted."""
@@ -130,13 +123,3 @@ class CrashRecoverySchedule:
             if recover_tick is not None and ("recover", index) not in applied:
                 return False
         return True
-
-    def next_tick_after(self, tick: int) -> Optional[int]:
-        """Earliest scheduled tick strictly after ``tick`` (None if none)."""
-        upcoming = [
-            t
-            for _, crash_tick, recover_tick in self.events
-            for t in (crash_tick, recover_tick)
-            if t is not None and t > tick
-        ]
-        return min(upcoming) if upcoming else None

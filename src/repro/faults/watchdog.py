@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.errors import StuckExecutionError
+from repro.errors import ConfigurationError, StuckExecutionError
 from repro.sim.network import World
 from repro.sim.scheduler import ChannelFilter, ChannelKey
 
@@ -63,6 +63,43 @@ class Diagnosis:
             f"(pending ops {list(self.pending_ops)}, "
             f"{self.undelivered} undelivered msgs, "
             f"{len(self.live_servers)} live servers)"
+        )
+
+    def to_json_dict(self) -> dict:
+        """Plain-JSON form, as cache entries, journals and reports hold it."""
+        return {
+            "verdict": self.verdict,
+            "detail": self.detail,
+            "step": self.step,
+            "pending_ops": list(self.pending_ops),
+            "blocked_channels": [list(key) for key in self.blocked_channels],
+            "undelivered": self.undelivered,
+            "live_servers": list(self.live_servers),
+            "byzantine_servers": list(self.byzantine_servers),
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "Diagnosis":
+        """Inverse of :meth:`to_json_dict`.
+
+        Every field but ``byzantine_servers`` is required; a missing one
+        raises :class:`~repro.errors.ConfigurationError` naming it.
+        """
+        for key in (
+            "verdict", "detail", "step", "pending_ops", "blocked_channels",
+            "undelivered", "live_servers",
+        ):
+            if key not in data:
+                raise ConfigurationError(f"diagnosis field {key!r} is missing")
+        return cls(
+            verdict=data["verdict"],
+            detail=data["detail"],
+            step=data["step"],
+            pending_ops=tuple(data["pending_ops"]),
+            blocked_channels=tuple(tuple(key) for key in data["blocked_channels"]),
+            undelivered=data["undelivered"],
+            live_servers=tuple(data["live_servers"]),
+            byzantine_servers=tuple(data.get("byzantine_servers", ())),
         )
 
 

@@ -9,11 +9,13 @@ changes no scheduler decision.
 
 Typical use::
 
-    from repro import build_cas_system, run_instrumented_workload
+    from repro import MetricsReport, SimObserver, build_cas_system
+    from repro import run_random_workload
 
     handle = build_cas_system(5, 1)
-    run = run_instrumented_workload(handle, num_ops=10, seed=0)
-    print(run.report().format())
+    handle.world.obs = SimObserver()
+    result = run_random_workload(handle, num_ops=10, seed=0)
+    print(MetricsReport({"steps": result.steps}, handle.world.obs).format())
 
 Beyond aggregation, :mod:`repro.obs.tracing` records the execution
 itself as a causal event log (``repro.trace/1``, exportable to Chrome
@@ -50,11 +52,6 @@ from repro.obs.registry import (
     TimeSeries,
 )
 from repro.obs.report import MetricsReport, REPORT_SCHEMA, storage_bound_rows
-from repro.obs.runner import (
-    InstrumentedRun,
-    profile_table,
-    run_instrumented_workload,
-)
 from repro.obs.spans import NullSpanTracker, NULL_SPANS, Span, SpanTracker
 from repro.obs.tracing import (
     TRACE_SCHEMA,
@@ -73,7 +70,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "InstrumentedRun",
     "MetricsRegistry",
     "MetricsReport",
     "NO_OP",
@@ -96,8 +92,6 @@ __all__ = [
     "format_analytics",
     "load_trace",
     "max_concurrent_writes",
-    "profile_table",
-    "run_instrumented_workload",
     "run_telemetry",
     "slice_document",
     "storage_bound_rows",

@@ -62,6 +62,13 @@ def max_concurrent_writes(operations) -> int:
     ``operations`` are :class:`~repro.sim.events.OperationRecord`-shaped
     objects; an incomplete write (no response step) stays active to the
     end of the execution, matching the paper's "active at point P".
+
+    Contract: the invoke and response steps of distinct operations
+    never coincide, because every action of a World gets its own step.
+    On such tie-free intervals the peak is the largest number of writes
+    invoked at or before some point and not yet responded at it.  This
+    is the one observed ν: chaos telemetry and ``repro metrics`` both
+    report it.
     """
     intervals: List[Tuple[int, Optional[int]]] = []
     for op in operations:

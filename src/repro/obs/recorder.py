@@ -148,10 +148,10 @@ NO_OP = NullObserver()
 class SimObserver:
     """Collects metrics and spans from an instrumented ``World``.
 
-    Attach with ``world.obs = SimObserver()`` (or use
-    :func:`repro.obs.runner.run_instrumented_workload`, which does it
-    for you).  The observer is plain data: ``World.fork`` deep-copies
-    it, so forked worlds accumulate telemetry independently.
+    Attach with ``world.obs = SimObserver()`` before driving the World
+    (``repro metrics``, ``repro profile`` and instrumented chaos runs
+    all do exactly that).  The observer is plain data: ``World.fork``
+    deep-copies it, so forked worlds accumulate telemetry independently.
 
     Parameters
     ----------

@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError
 from repro.sim.events import OperationRecord
 from repro.sim.network import World
 from repro.sim.scheduler import ChannelFilter
-from repro.sim.trace import ExecutionTrace
 
 
 def quorum_size(n: int, f: int) -> int:
@@ -102,10 +101,6 @@ class SystemHandle:
         return [
             pid for pid in self.server_ids if not self.world.processes[pid].failed
         ]
-
-    def trace(self) -> ExecutionTrace:
-        """Capture the execution so far."""
-        return ExecutionTrace.capture(self.world)
 
     def server_storage_bits(self, count_metadata: bool = False) -> List[float]:
         """Per-server stored bits at the current point.

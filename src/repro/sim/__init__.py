@@ -25,8 +25,6 @@ from repro.sim.scheduler import (
     Scheduler,
     ScriptedScheduler,
 )
-from repro.sim.failures import FailurePattern, fail_initial
-from repro.sim.trace import ExecutionTrace
 from repro.sim.snapshot import fork_world
 
 __all__ = [
@@ -44,8 +42,5 @@ __all__ = [
     "RandomScheduler",
     "ScriptedScheduler",
     "ChannelFilter",
-    "FailurePattern",
-    "fail_initial",
-    "ExecutionTrace",
     "fork_world",
 ]

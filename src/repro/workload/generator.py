@@ -24,7 +24,6 @@ class WorkloadResult:
 
     history: History
     steps: int
-    peak_normalized_total_storage: float
 
     @property
     def operations(self) -> List[OperationRecord]:
@@ -44,17 +43,13 @@ def run_sequential_workload(
     zero-concurrency baseline.
     """
     steps_before = handle.world.step_count
-    peak = handle.normalized_total_storage()
     for i, value in enumerate(values):
         handle.write(value, max_steps=max_steps)
-        peak = max(peak, handle.normalized_total_storage())
         if read_every and (i + 1) % read_every == 0:
             handle.read(max_steps=max_steps)
-            peak = max(peak, handle.normalized_total_storage())
     return WorkloadResult(
         history=History.from_world(handle.world),
         steps=handle.world.step_count - steps_before,
-        peak_normalized_total_storage=peak,
     )
 
 
@@ -80,7 +75,6 @@ def run_random_workload(
     world = handle.world
     steps_before = world.step_count
     invoked = 0
-    peak = handle.normalized_total_storage()
     ticks = 0
 
     def idle_clients(pids: Sequence[str]) -> List[str]:
@@ -117,7 +111,6 @@ def run_random_workload(
                 value = rng.randint(0, handle.value_space_size - 1)
                 world.invoke_write(rng.choice(pool), value)
                 invoked += 1
-        peak = max(peak, handle.normalized_total_storage())
 
     # Drain: run until every invoked operation has responded.
     while world.pending_operations():
@@ -125,7 +118,6 @@ def run_random_workload(
             raise OperationIncompleteError(
                 "system quiesced with operations pending"
             )
-        peak = max(peak, handle.normalized_total_storage())
         ticks += 1
         if ticks > max_steps:
             raise OperationIncompleteError(
@@ -135,5 +127,4 @@ def run_random_workload(
     return WorkloadResult(
         history=History.from_world(world),
         steps=world.step_count - steps_before,
-        peak_normalized_total_storage=peak,
     )

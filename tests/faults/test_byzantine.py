@@ -1,7 +1,6 @@
 """Tier-1 tests for the Byzantine fault band.
 
-Covers the tamper-mode registry (satellite: one registration point,
-helpful errors), the :class:`ByzantineConfig` model and corruption
+Covers the tamper-mode table (validation lists the valid modes), the :class:`ByzantineConfig` model and corruption
 roles, the graceful-degradation contract (masked corruption yields a
 ``degraded`` — never a violated — verdict), and the campaign-report
 visibility of ``faults.byzantine.*`` counters even for passing runs.
@@ -17,9 +16,7 @@ from repro.faults.adversary import (
     AdversaryConfig,
     ByzantineConfig,
     ChannelAdversary,
-    register_tamper_mode,
     tamper_mode_names,
-    unregister_tamper_mode,
 )
 from repro.faults.campaign import (
     BYZANTINE_SHAPES,
@@ -36,7 +33,7 @@ from repro.registers.catalog import build_client_system
 from repro.sim.events import Message
 
 
-# -- tamper-mode registry ----------------------------------------------------
+# -- tamper modes ------------------------------------------------------------
 
 
 class TestTamperRegistry:
@@ -48,26 +45,6 @@ class TestTamperRegistry:
             AdversaryConfig(tamper_mode="bogus").validate()
         assert "bogus" in str(exc.value)
         assert "stale-tags" in str(exc.value)
-
-    def test_register_round_trip(self):
-        def nop(src, dst, message):
-            return None
-
-        register_tamper_mode("test-nop", nop)
-        try:
-            assert "test-nop" in tamper_mode_names()
-            AdversaryConfig(tamper_mode="test-nop").validate()
-        finally:
-            unregister_tamper_mode("test-nop")
-        assert "test-nop" not in tamper_mode_names()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_tamper_mode("stale-tags", lambda s, d, m: None)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_tamper_mode("", lambda s, d, m: None)
 
 
 # -- the adversary model -----------------------------------------------------

@@ -9,6 +9,8 @@ Acceptance properties of the supervisor + journal integration in
 * quarantined results are journaled but never cached;
 * a campaign resumed from its journal re-executes only the missing
   runs and produces byte-identical reports;
+* a journal or cache entry with a missing field is a miss: its run
+  re-executes, and the report is still byte-identical;
 * ``KeyboardInterrupt`` yields a partial report (contiguous prefix,
   ``interrupted=True``) whose journal resumes to byte-identity.
 """
@@ -16,9 +18,13 @@ Acceptance properties of the supervisor + journal integration in
 import json
 import time
 
+import pytest
+
 import repro.faults.campaign as campaign_mod
 from repro.cli import main as cli_main
+from repro.errors import ConfigurationError
 from repro.faults.campaign import (
+    ChaosRunResult,
     campaign_journal_meta,
     campaign_task_key,
     campaign_task_payload,
@@ -65,6 +71,54 @@ def _small_meta(**overrides):
     )
     params.update(overrides)
     return campaign_journal_meta(**params)
+
+
+#: ``repro chaos`` argv for the SMALL campaign, serial and uncached.
+_SMALL_ARGV = [
+    "chaos", "--algorithms", "abd", "--seeds", "1", "--ops", "3",
+    "--out", "", "--no-cache", "--jobs", "1",
+]
+
+#: Every field ``ChaosRunResult.from_cache_dict`` reads without a
+#: default, as a dotted path into one journaled result.
+_REQUIRED_FIELDS = [
+    "algorithm", "config", "invoked", "completed", "live", "safety_ok",
+    "safety_reason", "diagnosis", "steps", "fault_stats", "crashes",
+    "recoveries", "config.name",
+    *(
+        f"diagnosis.{key}"
+        for key in (
+            "verdict", "detail", "step", "pending_ops", "blocked_channels",
+            "undelivered", "live_servers",
+        )
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def journaled_cli_run(tmp_path_factory):
+    """One uninterrupted journaled SMALL campaign through the CLI.
+
+    Returns its exit code, journal lines and ``--json`` report text.
+    """
+    tmp = tmp_path_factory.mktemp("journaled")
+    journal, report = tmp / "c.journal", tmp / "c.json"
+    rc = cli_main(
+        [*_SMALL_ARGV, "--journal", str(journal), "--json", str(report)]
+    )
+    return rc, journal.read_text().splitlines(), report.read_text()
+
+
+def _record_executions(monkeypatch):
+    """Run the real campaign task, recording each executed config name."""
+    executed = []
+
+    def counting_task(payload):
+        executed.append(payload["config"]["name"])
+        return _REAL_TASK(payload)
+
+    monkeypatch.setattr(campaign_mod, "_campaign_task", counting_task)
+    return executed
 
 
 def _small_keys():
@@ -196,19 +250,63 @@ class TestJournalResume:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines[:5]) + "\n")
 
-        executed = []
-
-        def counting_task(payload):
-            executed.append(payload["config"]["name"])
-            return _REAL_TASK(payload)
-
-        monkeypatch.setattr(campaign_mod, "_campaign_task", counting_task)
+        executed = _record_executions(monkeypatch)
         resumed = CampaignJournal.resume(path, _small_meta())
         assert resumed.loaded == 4
         second = run_campaign(jobs=1, journal=resumed, **SMALL)
         resumed.close()
         assert len(executed) == 6  # the missing runs, each exactly once
         assert second.format() == first.format()
+
+    @pytest.mark.parametrize("field", _REQUIRED_FIELDS)
+    def test_entry_missing_a_field_reexecutes_that_run(
+        self, field, journaled_cli_run, tmp_path, monkeypatch
+    ):
+        rc, lines, reference = journaled_cli_run
+        entries = [json.loads(line) for line in lines[1:]]
+        where, _, key = field.rpartition(".")
+        # Damage the first run that has the field (a diagnosed run for
+        # the diagnosis fields).
+        index = next(
+            i for i, entry in enumerate(entries)
+            if not where or entry["result"][where] is not None
+        )
+        result = entries[index]["result"]
+        name = result["config"]["name"]
+        del (result[where] if where else result)[key]
+        with pytest.raises(ConfigurationError, match=".*".join(field.split("."))):
+            ChaosRunResult.from_cache_dict(result)
+        path = tmp_path / "c.journal"
+        path.write_text(
+            "\n".join(
+                [lines[0], *(json.dumps(e, sort_keys=True) for e in entries)]
+            )
+            + "\n"
+        )
+
+        executed = _record_executions(monkeypatch)
+        report = tmp_path / "c.json"
+        assert cli_main(
+            [*_SMALL_ARGV, "--resume", str(path), "--json", str(report)]
+        ) == rc
+        assert executed == [name]
+        assert report.read_text() == reference
+
+    def test_cache_entry_missing_a_field_is_a_miss(self, tmp_path, monkeypatch):
+        cache = RunCache(str(tmp_path / "cache"))
+        first = run_campaign(jobs=1, cache=cache, **SMALL)
+        key = _small_keys()[0]
+        damaged = cache.get(key)
+        del damaged["live"]
+        cache.put(key, damaged)
+
+        executed = _record_executions(monkeypatch)
+        second = run_campaign(jobs=1, cache=cache, **SMALL)
+        assert executed == [generate_fault_configs(1, [0])[0].name]
+        assert json.dumps(
+            second.to_json_dict(), sort_keys=True
+        ) == json.dumps(first.to_json_dict(), sort_keys=True)
+        assert "live" in cache.get(key)  # the re-executed run was stored
 
 
 class TestInterrupt:

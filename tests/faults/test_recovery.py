@@ -3,10 +3,9 @@
 import pytest
 
 from repro.consistency.atomicity import check_atomicity
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, UnknownProcessError
 from repro.faults.recovery import CrashRecoverySchedule
 from repro.registers.abd import build_abd_system
-from repro.sim.failures import FailurePattern
 from repro.sim.process import ProcessContext, ServerProcess
 
 
@@ -89,12 +88,6 @@ class TestCrashRecoverySchedule:
     def build(self):
         return build_abd_system(n=5, f=2, value_bits=4)
 
-    def test_from_pattern(self):
-        pattern = FailurePattern(initial=("s000",), timed=(("s001", 10),))
-        schedule = CrashRecoverySchedule.from_pattern(pattern)
-        assert ("s000", 0, None) in schedule.events
-        assert ("s001", 10, None) in schedule.events
-
     def test_validate_concurrent_budget(self):
         handle = self.build()
         # Three overlapping server downs exceed f=2 ...
@@ -146,9 +139,14 @@ class TestCrashRecoverySchedule:
         assert not world.process("s000").failed
         assert schedule.done(applied)
 
-    def test_next_tick_after(self):
-        schedule = CrashRecoverySchedule((("s000", 5, 15), ("s001", 40, None)))
-        assert schedule.next_tick_after(0) == 5
-        assert schedule.next_tick_after(5) == 15
-        assert schedule.next_tick_after(15) == 40
-        assert schedule.next_tick_after(40) is None
+    def test_validate_unknown_pid(self):
+        handle = self.build()
+        with pytest.raises(UnknownProcessError):
+            CrashRecoverySchedule((("ghost", 0, None),)).validate(handle.world, 2)
+
+    def test_client_crashes_unbudgeted(self):
+        handle = self.build()
+        # Two permanently crashed servers plus a client: within f=2.
+        CrashRecoverySchedule(
+            (("w000", 0, None), ("s000", 0, None), ("s001", 5, None))
+        ).validate(handle.world, f=2)

@@ -1,10 +1,17 @@
 """Tests for the liveness watchdog and deadlock detection."""
 
+import json
+
 import pytest
 
-from repro.errors import DeadlockDetectedError, StuckExecutionError
+from repro.errors import (
+    ConfigurationError,
+    DeadlockDetectedError,
+    StuckExecutionError,
+)
 from repro.faults.adversary import ChannelAdversary, Partition
 from repro.faults.watchdog import (
+    Diagnosis,
     LivenessWatchdog,
     VERDICT_BUDGET,
     VERDICT_DEADLOCK,
@@ -101,3 +108,33 @@ class TestLivenessWatchdog:
         error = watchdog.stalled()
         assert isinstance(error, StuckExecutionError)
         assert error.diagnosis.verdict == VERDICT_QUORUM
+
+
+class TestDiagnosisJson:
+    @staticmethod
+    def _deadlock():
+        handle = build_abd_system(n=3, f=1, value_bits=4)
+        handle.world.invoke_write(handle.writer_ids[0], 1)
+        freeze = ChannelFilter.freeze_process(handle.writer_ids[0])
+        return diagnose_stall(handle.world, channel_filter=freeze)
+
+    def test_round_trip_through_json(self):
+        diagnosis = self._deadlock()
+        text = json.dumps(diagnosis.to_json_dict())
+        assert Diagnosis.from_json_dict(json.loads(text)) == diagnosis
+
+    def test_byzantine_servers_default_to_none(self):
+        data = self._deadlock().to_json_dict()
+        del data["byzantine_servers"]
+        assert Diagnosis.from_json_dict(data).byzantine_servers == ()
+
+    @pytest.mark.parametrize(
+        "field",
+        ["verdict", "detail", "step", "pending_ops", "blocked_channels",
+         "undelivered", "live_servers"],
+    )
+    def test_missing_field_raises_a_typed_error_naming_it(self, field):
+        data = self._deadlock().to_json_dict()
+        del data[field]
+        with pytest.raises(ConfigurationError, match=field):
+            Diagnosis.from_json_dict(data)

@@ -1,11 +1,12 @@
 """Campaign analytics: folds, envelopes, anomaly flags, determinism."""
 
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 
-from repro.faults.campaign import run_campaign
+from repro.faults.campaign import FaultConfig, run_campaign, run_chaos_workload
 from repro.obs.analytics import (
     ANALYTICS_SCHEMA,
     analyze_campaign,
@@ -15,6 +16,8 @@ from repro.obs.analytics import (
     percentile,
     storage_envelope_bits,
 )
+from repro.registers.catalog import build_client_system
+from repro.workload.generator import run_random_workload
 
 PARAMS = dict(
     algorithms=("abd", "casgc"), n=5, f=1, value_bits=6,
@@ -47,6 +50,11 @@ class TestHelpers:
                 kind=kind, invoke_step=start, response_step=end
             )
 
+        assert max_concurrent_writes([op("read", 1, 5)]) == 0
+        assert max_concurrent_writes([op("write", 1, 3), op("write", 5, 8)]) == 1
+        nested = [op("write", 1, 10), op("write", 2, 9), op("write", 3, 8)]
+        assert max_concurrent_writes(nested) == 3
+        assert max_concurrent_writes([op("write", 2, None)]) == 1
         ops = [
             op("write", 0, 10),
             op("write", 5, 15),   # overlaps the first
@@ -60,6 +68,55 @@ class TestHelpers:
         ops.append(op("write", 26, 27))
         assert max_concurrent_writes(ops) == 3
         assert max_concurrent_writes([]) == 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_max_concurrent_writes_matches_brute_force(self, seed):
+        # Tie-free intervals, as a World produces them: every invoke and
+        # response step is distinct.
+        rng = random.Random(seed)
+        steps = rng.sample(range(1, 200), 24)
+        ops = []
+        for i in range(12):
+            start, end = sorted(steps[2 * i:2 * i + 2])
+            ops.append(SimpleNamespace(
+                kind=rng.choice(("write", "write", "read")),
+                invoke_step=start,
+                response_step=None if rng.random() < 0.2 else end,
+            ))
+        writes = [o for o in ops if o.kind == "write"]
+        brute = max(
+            (
+                sum(
+                    1 for w in writes
+                    if w.invoke_step <= point
+                    and (w.response_step is None or w.response_step > point)
+                )
+                for point in range(0, 201)
+            ),
+            default=0,
+        )
+        assert max_concurrent_writes(ops) == brute
+
+    @pytest.mark.parametrize("algorithm", ["abd", "cas", "casgc"])
+    def test_world_operation_steps_are_tie_free(self, algorithm):
+        # The contract max_concurrent_writes relies on: no two invoke or
+        # response steps of a World's operations coincide.
+        random_run = build_client_system(algorithm, 5, 1, 6)
+        run_random_workload(random_run, 40, seed=3)
+        chaos_run = build_client_system(algorithm, 5, 1, 6)
+        run_chaos_workload(
+            chaos_run, FaultConfig(name="dups", seed=3, duplicate_probability=0.2),
+            num_ops=40,
+        )
+        for handle in (random_run, chaos_run):
+            steps = [
+                step
+                for op in handle.world.operations
+                for step in (op.invoke_step, op.response_step)
+                if step is not None
+            ]
+            assert len(steps) > 40
+            assert len(steps) == len(set(steps))
 
     def test_downsample_bounded_and_stable(self):
         points = [(i, float(i)) for i in range(1000)]

@@ -26,12 +26,12 @@ from repro.faults.campaign import (
     run_chaos_workload,
 )
 from repro.obs.recorder import SimObserver
-from repro.obs.runner import run_instrumented_workload
 from repro.obs.tracing import TRACE_TAIL_EVENTS, TraceCollector
 from repro.registers.cas import build_cas_system
 from repro.sim.events import Message
 from repro.sim.network import World
 from repro.sim.process import ClientProcess, ServerProcess
+from repro.workload.generator import run_random_workload
 
 SAMPLED = ("sim.messages_in_flight", "storage.total_bits", "storage.max_server_bits")
 
@@ -166,13 +166,13 @@ def test_fork_mid_run_keeps_both_twins_exact(algorithm):
 
 def test_observer_reused_on_a_fresh_world():
     observer = CheckedObserver()
-    run_instrumented_workload(
-        build_cas_system(n=5, f=1, value_bits=12), num_ops=8, seed=1,
-        observer=observer,
-    )
+    first_handle = build_cas_system(n=5, f=1, value_bits=12)
+    first_handle.world.obs = observer
+    run_random_workload(first_handle, num_ops=8, seed=1)
     first = observer.checked
     fresh = build_cas_system(n=5, f=1, value_bits=12)
-    run_instrumented_workload(fresh, num_ops=8, seed=2, observer=observer)
+    fresh.world.obs = observer
+    run_random_workload(fresh, num_ops=8, seed=2)
     assert observer.checked > first > 0
     assert observer.mismatches == []
 

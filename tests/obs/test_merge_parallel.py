@@ -10,8 +10,16 @@ snapshot is identical at any job count).
 import pytest
 
 from repro.cli import _metrics_task
-from repro.obs.runner import merge_registries
+from repro.obs.registry import MetricsRegistry
 from repro.parallel import run_tasks
+
+
+def _merged(results):
+    """Fold per-run registries in task order, as ``_metrics_batch`` does."""
+    merged = MetricsRegistry()
+    for r in results:
+        merged.merge(r["registry"])
+    return merged
 
 
 def _payload(seed):
@@ -35,7 +43,7 @@ def per_run():
 
 class TestMergeArithmetic:
     def test_counters_add(self, per_run):
-        merged = merge_registries(r["registry"] for r in per_run)
+        merged = _merged(per_run)
         snapshots = [r["registry"].snapshot() for r in per_run]
         merged_counters = merged.snapshot()["counters"]
         for name in merged_counters:
@@ -45,7 +53,7 @@ class TestMergeArithmetic:
         assert merged_counters["sim.messages_sent"] > 0
 
     def test_histogram_counts_add(self, per_run):
-        merged = merge_registries(r["registry"] for r in per_run)
+        merged = _merged(per_run)
         snapshots = [r["registry"].snapshot() for r in per_run]
         for name, h in merged.snapshot()["histograms"].items():
             assert h["count"] == sum(
@@ -62,6 +70,6 @@ class TestFoldDeterminism:
         assert [r["seed"] for r in parallel] == [r["seed"] for r in serial]
         assert [r["steps"] for r in parallel] == [r["steps"] for r in serial]
 
-        merged_serial = merge_registries(r["registry"] for r in serial)
-        merged_parallel = merge_registries(r["registry"] for r in parallel)
+        merged_serial = _merged(serial)
+        merged_parallel = _merged(parallel)
         assert merged_parallel.snapshot() == merged_serial.snapshot()

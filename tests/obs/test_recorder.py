@@ -5,13 +5,20 @@ import copy
 
 import pytest
 
+from repro.consistency.history import History
 from repro.obs.recorder import NO_OP, NullObserver, SimObserver, estimate_message_bits
-from repro.obs.runner import run_instrumented_workload
 from repro.registers.abd import build_abd_system
 from repro.registers.cas import build_cas_system
 from repro.sim.events import Message
 from repro.sim.snapshot import world_digest
 from repro.workload.generator import run_random_workload
+
+
+def _observed(handle, num_ops, seed, observer=None):
+    """Attach ``observer`` (a fresh one by default), run, return it."""
+    observer = handle.world.obs = observer if observer is not None else SimObserver()
+    run_random_workload(handle, num_ops, seed=seed)
+    return observer
 
 
 class TestEstimateMessageBits:
@@ -59,8 +66,8 @@ class TestNullObserver:
 
 class TestWiring:
     def test_counters_series_and_spans_from_a_real_run(self, small_cas):
-        run = run_instrumented_workload(small_cas, num_ops=8, seed=3)
-        reg = run.observer.registry
+        observer = _observed(small_cas, num_ops=8, seed=3)
+        reg = observer.registry
 
         sent = reg.counter("sim.messages_sent").value
         assert sent > 0
@@ -73,8 +80,8 @@ class TestWiring:
             == 8
         )
         # every invoked op completed, so every op span is closed
-        assert not run.observer.spans.open_spans()
-        assert not run.observer.spans.unmatched_ends
+        assert not observer.spans.open_spans()
+        assert not observer.spans.unmatched_ends
 
         storage = reg.series.get("storage.total_bits")
         assert storage is not None
@@ -82,8 +89,7 @@ class TestWiring:
         assert storage.steps() == sorted(storage.steps())
 
     def test_cas_phase_spans_present(self, small_cas):
-        run = run_instrumented_workload(small_cas, num_ops=8, seed=3)
-        stats = run.observer.spans.stats()
+        stats = _observed(small_cas, num_ops=8, seed=3).spans.stats()
         for phase in (
             "op/write", "op/read",
             "write/query", "write/pre-write", "write/finalize",
@@ -93,21 +99,19 @@ class TestWiring:
             assert stats[phase]["count"] > 0
 
     def test_abd_phase_spans_present(self, small_abd):
-        run = run_instrumented_workload(small_abd, num_ops=8, seed=3)
-        stats = run.observer.spans.stats()
+        stats = _observed(small_abd, num_ops=8, seed=3).spans.stats()
         for phase in ("write/query", "write/propagate", "read/query"):
             assert phase in stats
 
     def test_op_latency_matches_trace(self, small_abd):
-        run = run_instrumented_workload(small_abd, num_ops=6, seed=1)
+        observer = _observed(small_abd, num_ops=6, seed=1)
         hist_total = sum(
-            run.observer.registry.histogram(f"ops.latency_steps.{kind}").total
+            observer.registry.histogram(f"ops.latency_steps.{kind}").total
             for kind in ("write", "read")
         )
         trace_total = sum(
             op.response_step - op.invoke_step
-            for op in small_abd.trace().operations
-            if op.is_complete
+            for op in History.from_world(small_abd.world).completed()
         )
         assert hist_total == trace_total
 
@@ -118,7 +122,7 @@ class TestDeterminism:
         instrumented = build_cas_system(n=5, f=1, value_bits=12)
         plain = build_cas_system(n=5, f=1, value_bits=12)
 
-        run_instrumented_workload(instrumented, num_ops=10, seed=seed)
+        _observed(instrumented, num_ops=10, seed=seed)
         run_random_workload(plain, 10, seed=seed)
 
         assert world_digest(instrumented.world) == world_digest(plain.world)
@@ -127,12 +131,12 @@ class TestDeterminism:
         snaps = []
         for _ in range(2):
             handle = build_abd_system(n=5, f=2, value_bits=8)
-            run = run_instrumented_workload(handle, num_ops=10, seed=4)
-            snaps.append(run.observer.registry.snapshot())
+            snaps.append(_observed(handle, num_ops=10, seed=4).registry.snapshot())
         assert snaps[0] == snaps[1]
 
     def test_sample_storage_off_skips_storage_series(self, small_abd):
-        obs = SimObserver(sample_storage=False)
-        run = run_instrumented_workload(small_abd, num_ops=4, seed=0, observer=obs)
-        assert "storage.total_bits" not in run.observer.registry.series
-        assert run.observer.registry.counter("sim.messages_sent").value > 0
+        obs = _observed(
+            small_abd, num_ops=4, seed=0, observer=SimObserver(sample_storage=False)
+        )
+        assert "storage.total_bits" not in obs.registry.series
+        assert obs.registry.counter("sim.messages_sent").value > 0

@@ -5,14 +5,36 @@ import json
 import pytest
 
 from repro.core.bounds import singleton_total_bits
+from repro.obs.analytics import max_concurrent_writes
 from repro.obs.recorder import NO_OP, SimObserver
 from repro.obs.report import MetricsReport, REPORT_SCHEMA, storage_bound_rows
-from repro.obs.runner import run_instrumented_workload
 from repro.registers.cas import build_cas_system
+from repro.workload.generator import run_random_workload
 
 
 def _rows_by_key(rows):
     return {(r["theorem"], r["scope"]): r for r in rows}
+
+
+def _report(num_ops, seed, include_bounds=True):
+    """Attach an observer to a CAS system, run, and report on the run."""
+    handle = build_cas_system(n=5, f=1, value_bits=12)
+    observer = handle.world.obs = SimObserver()
+    result = run_random_workload(handle, num_ops, seed=seed)
+    nu = max(1, max_concurrent_writes(handle.world.operations))
+    meta = {
+        "algorithm": handle.algorithm, "seed": seed,
+        "steps": result.steps, "nu_observed": nu,
+    }
+    bound_rows = None
+    if include_bounds:
+        series = observer.registry.series
+        bound_rows = storage_bound_rows(
+            handle.n, handle.f, handle.value_bits, nu,
+            series["storage.total_bits"].max_value(),
+            series["storage.max_server_bits"].max_value(),
+        )
+    return MetricsReport(meta, observer, bound_rows=bound_rows)
 
 
 class TestStorageBoundRows:
@@ -51,12 +73,11 @@ class TestStorageBoundRows:
 
 class TestJson:
     @pytest.fixture
-    def run(self):
-        handle = build_cas_system(n=5, f=1, value_bits=12)
-        return run_instrumented_workload(handle, num_ops=8, seed=2)
+    def report(self):
+        return _report(num_ops=8, seed=2)
 
-    def test_schema_and_sections(self, run):
-        doc = run.report().to_json_dict()
+    def test_schema_and_sections(self, report):
+        doc = report.to_json_dict()
         assert doc["schema"] == REPORT_SCHEMA
         for section in ("meta", "counters", "gauges", "histograms",
                         "series", "spans", "bounds"):
@@ -66,22 +87,17 @@ class TestJson:
         assert doc["spans"]["open"] == []
         assert doc["spans"]["unmatched_ends"] == []
 
-    def test_observed_max_meets_theorem_b1(self, run):
-        rows = _rows_by_key(run.report().to_json_dict()["bounds"])
+    def test_observed_max_meets_theorem_b1(self, report):
+        rows = _rows_by_key(report.to_json_dict()["bounds"])
         row = rows[("theorem_b1", "total")]
         assert row["status"] == "satisfied"
         assert row["observed_bits"] >= row["bound_bits"]
 
     def test_byte_identical_across_same_seed_runs(self):
-        payloads = []
-        for _ in range(2):
-            handle = build_cas_system(n=5, f=1, value_bits=12)
-            run = run_instrumented_workload(handle, num_ops=8, seed=2)
-            payloads.append(run.report().to_json())
+        payloads = [_report(num_ops=8, seed=2).to_json() for _ in range(2)]
         assert payloads[0] == payloads[1]
 
-    def test_write_json_and_jsonl(self, run, tmp_path):
-        report = run.report()
+    def test_write_json_and_jsonl(self, report, tmp_path):
         json_path = tmp_path / "report.json"
         jsonl_path = tmp_path / "series.jsonl"
         report.write_json(str(json_path))
@@ -96,16 +112,14 @@ class TestJson:
         names = {l["series"] for l in lines}
         assert "storage.total_bits" in names
 
-    def test_include_bounds_false_omits_section(self, run):
-        doc = run.report(include_bounds=False).to_json_dict()
+    def test_include_bounds_false_omits_section(self):
+        doc = _report(num_ops=8, seed=2, include_bounds=False).to_json_dict()
         assert "bounds" not in doc
 
 
 class TestFormat:
     def test_sections_render(self):
-        handle = build_cas_system(n=5, f=1, value_bits=12)
-        run = run_instrumented_workload(handle, num_ops=6, seed=0)
-        text = run.report().format()
+        text = _report(num_ops=6, seed=0).format()
         for fragment in ("metrics report", "counters", "spans (steps)",
                          "time series", "lower bounds"):
             assert fragment in text

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.consistency.history import History
 from repro.errors import ConfigurationError
 from repro.registers.abd import build_abd_system
 from repro.registers.base import quorum_size, reader_id, server_id, writer_id
@@ -55,8 +56,8 @@ class TestSystemHandle:
     def test_trace_capture(self):
         handle = build_abd_system(n=3, f=1, value_bits=6)
         handle.write(1)
-        trace = handle.trace()
-        assert len(trace.writes()) == 1
+        history = History.from_world(handle.world)
+        assert [op.kind for op in history.completed()] == ["write"]
 
     def test_storage_bits_vector_length(self):
         handle = build_abd_system(n=4, f=1, value_bits=6)

@@ -1,80 +1,43 @@
-"""Tests for failure patterns."""
+"""Permanent crash failures: servers crashed at the start of an execution.
+
+The lower-bound executions crash a fixed set of servers before any
+other action (Section 4.3.1) with ``World.crash``; timed crashes go
+through :class:`repro.faults.recovery.CrashRecoverySchedule`
+(``tests/faults/test_recovery.py``).
+"""
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import OperationIncompleteError
 from repro.registers.abd import build_abd_system
-from repro.sim.failures import (
-    FailurePattern,
-    apply_timed_failures,
-    fail_initial,
-    surviving_servers,
-)
+
+
+def _crash(handle, pids):
+    for pid in pids:
+        handle.world.crash(pid)
 
 
 class TestFailInitial:
     def test_crashes_named(self):
         handle = build_abd_system(n=5, f=2, value_bits=4)
-        fail_initial(handle.world, ["s003", "s004"])
-        assert surviving_servers(handle.world) == ["s000", "s001", "s002"]
+        _crash(handle, ["s003", "s004"])
+        assert handle.surviving_server_ids() == ["s000", "s001", "s002"]
 
     def test_crash_recorded_in_trace(self):
         handle = build_abd_system(n=5, f=2, value_bits=4)
-        fail_initial(handle.world, ["s000"])
+        _crash(handle, ["s000"])
         assert any(a.kind == "crash" and a.src == "s000" for a in handle.world.trace)
-
-
-class TestFailurePattern:
-    def test_validate_respects_budget(self):
-        handle = build_abd_system(n=5, f=2, value_bits=4)
-        pattern = FailurePattern(initial=("s000", "s001", "s002"))
-        with pytest.raises(ConfigurationError):
-            pattern.validate(handle.world, f=2)
-
-    def test_validate_unknown_pid(self):
-        handle = build_abd_system(n=5, f=2, value_bits=4)
-        pattern = FailurePattern(initial=("ghost",))
-        with pytest.raises(Exception):
-            pattern.validate(handle.world, f=2)
-
-    def test_client_failures_unbudgeted(self):
-        handle = build_abd_system(n=5, f=2, value_bits=4)
-        pattern = FailurePattern(initial=("w000", "s000", "s001"))
-        pattern.validate(handle.world, f=2)  # 2 servers + 1 client: fine
-
-    def test_apply_initial(self):
-        handle = build_abd_system(n=5, f=2, value_bits=4)
-        FailurePattern(initial=("s000",)).apply_initial(handle.world)
-        assert handle.world.process("s000").failed
-
-    def test_timed_failures_fire_once(self):
-        handle = build_abd_system(n=5, f=2, value_bits=4)
-        pattern = FailurePattern(timed=(("s000", 0),))
-        applied = set()
-        assert apply_timed_failures(handle.world, pattern, applied) == 1
-        assert apply_timed_failures(handle.world, pattern, applied) == 0
-        assert handle.world.process("s000").failed
-
-    def test_timed_failures_wait_for_step(self):
-        handle = build_abd_system(n=5, f=2, value_bits=4)
-        pattern = FailurePattern(timed=(("s000", 10),))
-        applied = set()
-        assert apply_timed_failures(handle.world, pattern, applied) == 0
-        handle.write(3)  # advances steps well past 10
-        assert apply_timed_failures(handle.world, pattern, applied) == 1
 
 
 class TestLivenessUnderFailures:
     def test_abd_survives_f_failures(self):
         handle = build_abd_system(n=5, f=2, value_bits=4)
-        fail_initial(handle.world, ["s000", "s001"])
+        _crash(handle, ["s000", "s001"])
         handle.write(9)
         assert handle.read().value == 9
 
     def test_abd_blocks_beyond_f_failures(self):
-        from repro.errors import OperationIncompleteError
-
         handle = build_abd_system(n=5, f=2, value_bits=4)
-        fail_initial(handle.world, ["s000", "s001", "s002"])
+        _crash(handle, ["s000", "s001", "s002"])
         with pytest.raises(OperationIncompleteError):
             handle.write(9, max_steps=1000)

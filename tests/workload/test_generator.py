@@ -28,11 +28,6 @@ class TestSequential:
         result = run_sequential_workload(handle, [1, 2], read_every=0)
         assert not result.history.reads()
 
-    def test_peak_tracked(self):
-        handle = build_cas_system(n=5, f=1, value_bits=12)
-        result = run_sequential_workload(handle, [1, 2, 3], read_every=0)
-        assert result.peak_normalized_total_storage > 0
-
     def test_steps_counted(self):
         handle = build_abd_system(n=3, f=1, value_bits=4)
         result = run_sequential_workload(handle, [1])
