@@ -50,11 +50,6 @@ class TestHelpers:
                 kind=kind, invoke_step=start, response_step=end
             )
 
-        assert max_concurrent_writes([op("read", 1, 5)]) == 0
-        assert max_concurrent_writes([op("write", 1, 3), op("write", 5, 8)]) == 1
-        nested = [op("write", 1, 10), op("write", 2, 9), op("write", 3, 8)]
-        assert max_concurrent_writes(nested) == 3
-        assert max_concurrent_writes([op("write", 2, None)]) == 1
         ops = [
             op("write", 0, 10),
             op("write", 5, 15),   # overlaps the first

@@ -1,12 +1,12 @@
-"""Tests for execution traces."""
+"""Observed ν of an execution trace: the peak number of active writes.
 
-from repro.registers.abd import build_abd_system
+The trace of a run is its World's operation records;
+:func:`repro.obs.analytics.max_concurrent_writes` reads the observed ν
+off them.
+"""
+
+from repro.obs.analytics import max_concurrent_writes
 from repro.sim.events import OperationRecord
-from repro.sim.trace import ExecutionTrace
-
-
-def make_trace(ops):
-    return ExecutionTrace(actions=[], operations=ops)
 
 
 def op(op_id, kind, invoke, response=None, client="c", value=1):
@@ -22,109 +22,18 @@ def op(op_id, kind, invoke, response=None, client="c", value=1):
 
 class TestActiveWrites:
     def test_no_writes(self):
-        t = make_trace([op(0, "read", 1, 5)])
-        assert t.max_active_writes() == 0
+        assert max_concurrent_writes([op(0, "read", 1, 5)]) == 0
 
     def test_sequential_writes(self):
-        t = make_trace([op(0, "write", 1, 3), op(1, "write", 5, 8)])
-        assert t.max_active_writes() == 1
+        ops = [op(0, "write", 1, 3), op(1, "write", 5, 8)]
+        assert max_concurrent_writes(ops) == 1
 
     def test_overlapping_writes(self):
-        t = make_trace(
-            [op(0, "write", 1, 10), op(1, "write", 2, 9), op(2, "write", 3, 8)]
-        )
-        assert t.max_active_writes() == 3
-
-    def test_active_at_point(self):
-        t = make_trace([op(0, "write", 2, 6)])
-        assert t.active_writes_at(1) == 0
-        assert t.active_writes_at(2) == 1
-        assert t.active_writes_at(5) == 1
-        assert t.active_writes_at(6) == 0
+        ops = [op(0, "write", 1, 10), op(1, "write", 2, 9), op(2, "write", 3, 8)]
+        assert max_concurrent_writes(ops) == 3
 
     def test_incomplete_write_stays_active(self):
-        t = make_trace([op(0, "write", 2, None)])
-        assert t.active_writes_at(1000) == 1
-        assert t.max_active_writes() == 1
-
-
-class TestSweepCache:
-    """The event sweep behind active_writes_at / max_active_writes."""
-
-    def test_matches_brute_force(self):
-        ops = [
-            op(0, "write", 1, 10),
-            op(1, "write", 2, 9),
-            op(2, "write", 3, 8),
-            op(3, "write", 12, None),
-            op(4, "read", 0, 20),
-        ]
-        t = make_trace(ops)
-        writes = [o for o in ops if o.kind == "write"]
-        for step in range(0, 15):
-            expected = sum(
-                1
-                for w in writes
-                if w.invoke_step <= step
-                and (w.response_step is None or w.response_step > step)
-            )
-            assert t.active_writes_at(step) == expected, f"step {step}"
-        assert t.max_active_writes() == 3
-
-    def test_cache_is_reused_for_unchanged_trace(self):
-        t = make_trace([op(0, "write", 1, 5)])
-        t.active_writes_at(3)
-        first = t._sweep_cache
-        t.max_active_writes()
-        t.active_writes_at(4)
-        assert t._sweep_cache is first
-
-    def test_cache_invalidated_when_shared_record_completes(self):
-        # capture() shares mutable OperationRecords with the live World:
-        # a write completing after capture must be reflected on re-query.
-        pending = op(0, "write", 2, None)
-        t = make_trace([pending])
-        assert t.active_writes_at(100) == 1
-        pending.response_step = 50
-        assert t.active_writes_at(100) == 0
-        assert t.max_active_writes() == 1
-
-    def test_cache_invalidated_when_operation_appended(self):
-        t = make_trace([op(0, "write", 1, 3)])
-        assert t.max_active_writes() == 1
-        t.operations.append(op(1, "write", 2, None))
-        assert t.max_active_writes() == 2
-
-    def test_response_at_invoke_step_not_double_counted(self):
-        # a write responding at P is no longer active at P, even when
-        # another write is invoked at exactly P.
-        t = make_trace([op(0, "write", 1, 5), op(1, "write", 5, 9)])
-        assert t.active_writes_at(5) == 1
-        assert t.max_active_writes() == 1
-
-
-class TestCaptureAndQueries:
-    def test_capture_from_world(self):
-        handle = build_abd_system(n=3, f=1, value_bits=4)
-        handle.write(3)
-        handle.read()
-        trace = ExecutionTrace.capture(handle.world)
-        assert len(trace.operations) == 2
-        assert len(trace.writes()) == 1
-        assert len(trace.reads()) == 1
-        assert trace.message_count() > 0
-        assert trace.last_step() == handle.world.step_count
-
-    def test_completed_operations(self):
-        t = make_trace([op(0, "write", 1, 5), op(1, "write", 6, None)])
-        assert [o.op_id for o in t.completed_operations()] == [0]
-
-    def test_operation_by_id(self):
-        t = make_trace([op(0, "write", 1, 5)])
-        assert t.operation_by_id(0).op_id == 0
-        assert t.operation_by_id(9) is None
-
-    def test_empty_trace(self):
-        t = make_trace([])
-        assert t.last_step() == 0
-        assert t.message_count() == 0
+        assert max_concurrent_writes([op(0, "write", 2, None)]) == 1
+        # It overlaps every later write, however late.
+        ops = [op(0, "write", 2, None), op(1, "write", 1000, 1001)]
+        assert max_concurrent_writes(ops) == 2

@@ -1,84 +1,41 @@
-"""Determinism of the crashy workload driver across algorithms.
+"""Determinism of the chaos driver under permanent crashes, per algorithm.
 
-`run_crashy_workload` promises "deterministic per seed": the entire
-execution — every invocation, delivery, and crash — is a pure function
-of (builder parameters, seed).  These tests pin that contract with a
-full-fidelity fingerprint (complete history fields, crash list, and
-step count), not just the coarse value traces the safety tests use.
+:func:`run_chaos_workload` promises a run that is a pure function of
+(system, config, script, timeline): the entire execution (every
+invocation, delivery and crash) repeats for the same seed.  This pins
+that contract with a full-fidelity fingerprint (every field of the
+World's history, the crash count and the step count), not just the
+coarse value traces the safety tests use.
 """
 
 import pytest
 
-from repro.registers.abd import build_abd_system
-from repro.registers.cas import build_cas_system
-from repro.registers.casgc import build_casgc_system
-from repro.workload.faults import run_crashy_workload
-
-BUILDERS = {
-    "abd": lambda: build_abd_system(
-        n=5, f=2, value_bits=4, num_writers=2, num_readers=2
-    ),
-    "cas": lambda: build_cas_system(
-        n=7, f=2, value_bits=8, num_writers=2, num_readers=2
-    ),
-    "casgc": lambda: build_casgc_system(
-        n=7, f=2, value_bits=8, num_writers=2, num_readers=2, gc_depth=2
-    ),
-}
+from repro.faults.campaign import FaultConfig, FaultTimeline, run_chaos_workload
+from tests.faults.test_permanent_crashes import SYSTEMS
 
 
-def fingerprint(result):
+def fingerprint(name, seed):
+    handle = SYSTEMS[name]()
+    result = run_chaos_workload(
+        handle,
+        FaultConfig(name="crash", seed=seed),
+        num_ops=8,
+        timeline=FaultTimeline(crash_events=((handle.server_ids[-1], 10, None),)),
+    )
     return (
-        tuple(result.crashed_servers),
+        result.crashes,
         result.steps,
         tuple(
             (op.op_id, op.client, op.kind, op.value,
              op.invoke_step, op.response_step)
-            for op in result.history
+            for op in handle.world.operations
         ),
     )
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
 class TestSameSeedSameExecution:
     def test_identical_fingerprint(self, name):
-        def run():
-            return fingerprint(
-                run_crashy_workload(
-                    BUILDERS[name](), num_ops=8, seed=1234,
-                    crash_probability=0.05,
-                )
-            )
-
-        assert run() == run()
-
-    def test_different_seeds_diverge(self, name):
-        runs = {
-            fingerprint(
-                run_crashy_workload(
-                    BUILDERS[name](), num_ops=8, seed=seed,
-                    crash_probability=0.05,
-                )
-            )
-            for seed in range(4)
-        }
-        # Crash timing, interleaving, or values must differ somewhere.
-        assert len(runs) > 1
-
-
-class TestCrashBudget:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_crashes_never_exceed_f(self, seed):
-        handle = build_abd_system(n=5, f=2, value_bits=4)
-        result = run_crashy_workload(
-            handle, num_ops=6, seed=seed, crash_probability=0.9
-        )
-        assert len(result.crashed_servers) <= handle.f
-        assert len(set(result.crashed_servers)) == len(result.crashed_servers)
-
-    def test_zero_budget_means_zero_crashes(self):
-        handle = build_abd_system(n=3, f=0, value_bits=4)
-        result = run_crashy_workload(
-            handle, num_ops=6, seed=0, crash_probability=0.9
-        )
-        assert result.crashed_servers == []
+        first = fingerprint(name, 1234)
+        assert first[0] == 1  # the crash fired inside the run
+        assert fingerprint(name, 1234) == first
