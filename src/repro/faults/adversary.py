@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.clone import clone_instance_state
@@ -225,7 +225,8 @@ class Partition:
     Any pid not named in ``groups`` belongs to an implicit "rest"
     group, so isolating a minority is just ``Partition.isolate(pids)``.
 
-    The pid -> group map behind :meth:`side_of` is built once at
+    The pid -> group map behind :meth:`side_of` (and behind
+    :meth:`ChannelAdversary.partition_gate`) is built once at
     construction and kept out of the dataclass fields (and out of the
     pickled state), so equality, hashing, ``repr`` and pickles are
     those of ``groups`` alone.
@@ -384,6 +385,17 @@ class ChannelAdversary:
     def allows(self, src: str, dst: str) -> bool:
         """False iff an active partition puts src and dst on different sides."""
         return self.partition is None or not self.partition.crosses(src, dst)
+
+    def partition_gate(self, keys: List[ChannelKey]) -> List[ChannelKey]:
+        """The channel keys :meth:`allows`, in order, in one pass.
+
+        ``World.enabled_channels`` calls this once per step while a
+        partition is active, instead of :meth:`allows` per channel.
+        """
+        if self.partition is None:
+            return list(keys)
+        side = self.partition._side
+        return [k for k in keys if side.get(k[0], -1) == side.get(k[1], -1)]
 
     def start_partition(self, partition: Partition) -> None:
         """Activate a partition (replaces any active one)."""

@@ -374,15 +374,37 @@ def trace_document(
     }
 
 
+#: Fields every event and span row must carry; the rest (``lamport``,
+#: ``parents``, ``extra``) are optional and read with ``.get``.
+_REQUIRED_FIELDS = (
+    ("events", ("id", "step", "kind", "process", "src", "dst", "message")),
+    ("spans", ("span_id", "name", "owner", "op_id", "begin_step", "end_step")),
+)
+
+
 def validate_trace_document(doc: dict) -> dict:
-    """Reject documents that are not ``repro.trace/1``; returns ``doc``."""
+    """Reject documents that are not ``repro.trace/1``; returns ``doc``.
+
+    A row lacking a required field raises ``ConfigurationError`` naming
+    the field and the row, so a damaged file never reaches the readers
+    below as a bare ``KeyError``.
+    """
     from repro.errors import ConfigurationError
 
-    if doc.get("schema") != TRACE_SCHEMA:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != TRACE_SCHEMA:
         raise ConfigurationError(
-            f"unsupported trace schema {doc.get('schema')!r} "
-            f"(expected {TRACE_SCHEMA!r})"
+            f"unsupported trace schema {schema!r} (expected {TRACE_SCHEMA!r})"
         )
+    for section, fields in _REQUIRED_FIELDS:
+        for index, row in enumerate(doc.get(section, ())):
+            if not isinstance(row, dict):
+                raise ConfigurationError(f"trace {section}[{index}] is not an object")
+            for name in fields:
+                if name not in row:
+                    raise ConfigurationError(
+                        f"trace {section}[{index}] lacks field {name!r}"
+                    )
     return doc
 
 

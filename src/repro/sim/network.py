@@ -26,15 +26,16 @@ what it changes:
   accessors :meth:`process` and :meth:`channel` clone a shared object
   (through the explicit clone protocol: ``Process.clone``,
   ``Channel.clone``) the first time this World writes it.  ``fork()``
-  itself copies two dicts and clones only the small eager parts
-  (operation records, scheduler, adversary).
-* ``enabled_channels()`` reads an incrementally maintained sorted
-  index of non-empty channels (updated by channel transition
-  callbacks on enqueue/dequeue) instead of rescanning and re-sorting
-  every channel per step.  The adversary's partition gate is
-  consulted only while a partition is active.  The scheduler sees
-  exactly the same sorted key list as before, so schedules are
-  byte-identical.
+  itself copies two dicts and the channel index below (the one list
+  mutated in place), and clones only the small eager parts (operation
+  records, scheduler, adversary).
+* ``enabled_channels()`` reads an always-sorted list of non-empty
+  channel keys, kept in place by ``bisect`` inserts and deletes in the
+  channel transition callback on enqueue/dequeue, instead of
+  rescanning or re-sorting anything per step.  The adversary's
+  partition gate is consulted only while a partition is active, once
+  per call for the whole key list.  The scheduler sees exactly the
+  same sorted key list as before, so schedules are byte-identical.
 * The state digest (:meth:`process_digests`,
   :meth:`channel_digests`) walks that non-empty index, and reuses the
   digest of every process this World does not own: nobody can write
@@ -53,6 +54,7 @@ what it changes:
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from types import MappingProxyType
 from typing import (
     Callable,
@@ -107,11 +109,9 @@ class World:
         self.operations: List[OperationRecord] = []
         self._next_op_id = 0
         self.record_trace = True
-        #: Keys of channels currently holding messages, maintained by
-        #: :meth:`_channel_transition`; ``_nonempty_sorted`` caches the
-        #: sorted view and is invalidated on every transition.
-        self._nonempty: set = set()
-        self._nonempty_sorted: Optional[List[ChannelKey]] = None
+        #: Keys of channels currently holding messages, always sorted:
+        #: :meth:`_channel_transition` inserts and deletes in place.
+        self._nonempty: List[ChannelKey] = []
         #: Sorted pids, all and by role (invalidated by :meth:`add_process`).
         self._pids: Optional[List[str]] = None
         self._server_pids: List[str] = []
@@ -215,11 +215,14 @@ class World:
         tests enqueue on a channel object directly.
         """
         key = (channel.src, channel.dst)
+        keys = self._nonempty
+        index = bisect_left(keys, key)
+        present = index < len(keys) and keys[index] == key
         if nonempty:
-            self._nonempty.add(key)
-        else:
-            self._nonempty.discard(key)
-        self._nonempty_sorted = None
+            if not present:
+                keys.insert(index, key)
+        elif present:
+            del keys[index]
 
     # -- message plumbing (called by ProcessContext) --------------------------
 
@@ -274,9 +277,7 @@ class World:
         adversary's active partition additionally disables channels
         crossing the cut (their messages stay queued until a heal).
         """
-        keys = self._nonempty_sorted
-        if keys is None:
-            keys = self._nonempty_sorted = sorted(self._nonempty)
+        keys = self._nonempty
         filtered = keys
         if channel_filter is not None:
             channels = self._channels
@@ -287,17 +288,14 @@ class World:
             ]
         adversary = self.adversary
         if adversary is not None and adversary.partition is not None:
-            filtered = [k for k in filtered if adversary.allows(*k)]
+            filtered = adversary.partition_gate(filtered)
         if filtered is keys:
-            filtered = list(keys)  # defend the cached list against callers
+            filtered = list(keys)  # the index is mutated in place
         return filtered
 
     def undelivered_channels(self) -> List[ChannelKey]:
         """All non-empty channel keys, sorted (ignores filters/partitions)."""
-        keys = self._nonempty_sorted
-        if keys is None:
-            keys = self._nonempty_sorted = sorted(self._nonempty)
-        return list(keys)
+        return list(self._nonempty)
 
     def deliver(self, src: str, dst: str) -> ActionRecord:
         """Execute the delivery action on channel src->dst.
@@ -567,13 +565,10 @@ class World:
 
         Channels with an endpoint named in ``exclude`` are left out.
         """
-        keys = self._nonempty_sorted
-        if keys is None:
-            keys = self._nonempty_sorted = sorted(self._nonempty)
         channels = self._channels
         return tuple(
             (key, channels[key].state_digest())
-            for key in keys
+            for key in self._nonempty
             if key[0] not in exclude and key[1] not in exclude
         )
 
@@ -586,9 +581,10 @@ class World:
         ``enqueue_message``, ``invoke_*``, ``crash`` and ``recover``)
         clones the object into the writing World, so stepping one twin
         never affects the other.  A fork therefore costs two dict
-        copies plus the eager clones of the operation records, the
-        scheduler and the adversary; a later delivery clones only its
-        receiver and the channels it pops from and pushes to.
+        copies, a copy of the sorted channel index and the eager clones
+        of the operation records, the scheduler and the adversary; a
+        later delivery clones only its receiver and the channels it pops
+        from and pushes to.
         Immutable values — messages, tags, action records, codes — are
         shared as before.
 
@@ -627,9 +623,10 @@ class World:
         self._owned.clear()
         clone._owned = set()
         clone._digest_memo = self._digest_memo
-        clone._nonempty = set(self._nonempty)
-        # Cached lists are replaced, never mutated in place: share them.
-        clone._nonempty_sorted = self._nonempty_sorted
+        # The channel index is mutated in place, so each twin gets its
+        # own copy.  The pid lists are replaced, never mutated in place:
+        # share them.
+        clone._nonempty = list(self._nonempty)
         clone._pids = self._pids
         clone._server_pids = self._server_pids
         clone._client_pids = self._client_pids

@@ -54,34 +54,46 @@ def peak_storage_during(
     handle: SystemHandle,
     drive: Callable[[SystemHandle], None],
     count_metadata: bool = False,
-    sample_every: int = 1,
     max_steps: int = 200_000,
 ) -> StorageSnapshot:
     """Run ``drive`` while sampling storage after every simulator step.
 
     ``drive`` performs invocations and *must not* step the world to
     completion itself; instead it should invoke operations and return.
-    This helper then steps the world until quiescence (all pending
-    operations complete and channels drain), sampling stored bits every
-    ``sample_every`` steps, and returns the peak-total snapshot.
+    This helper then steps the world until no channel is enabled,
+    sampling stored bits after every step, and returns the peak-total
+    snapshot (the earliest, on ties).  At most ``max_steps`` deliveries
+    are executed: a system that drains in exactly ``max_steps``
+    returns, one that needs more raises.
+
+    Server state changes only inside ``deliver``, ``invoke_*`` and
+    ``recover`` (the invariant :class:`~repro.obs.recorder.SimObserver`
+    relies on too), and this loop only delivers.  So each step re-reads
+    the receiver's bits alone, re-sums in server order only when they
+    changed, and builds a snapshot only on a new peak.
     """
     drive(handle)
     world = handle.world
+    processes = world.processes
+    position = {pid: i for i, pid in enumerate(handle.server_ids)}
     peak = storage_snapshot(handle, count_metadata)
-    steps = 0
-    while world.pending_operations() or world.enabled_channels():
-        if world.step() is None:
-            break
-        steps += 1
-        if steps % sample_every == 0:
-            snap = storage_snapshot(handle, count_metadata)
-            if snap.total_bits > peak.total_bits:
-                peak = snap
-        if steps > max_steps:
-            raise RuntimeError(
-                f"workload did not quiesce within {max_steps} steps"
-            )
-    final = storage_snapshot(handle, count_metadata)
-    if final.total_bits > peak.total_bits:
-        peak = final
+    bits = list(peak.per_server_bits)
+    peak_total = peak.total_bits
+    for _ in range(max_steps):
+        record = world.step()
+        if record is None:
+            return peak
+        i = position.get(record.dst)
+        if i is None:
+            continue
+        value = processes[record.dst].storage_bits(count_metadata)
+        if value == bits[i]:
+            continue
+        bits[i] = value
+        total = sum(bits)
+        if total > peak_total:
+            peak_total = total
+            peak = StorageSnapshot(tuple(bits), world.step_count)
+    if world.enabled_channels():
+        raise RuntimeError(f"workload did not quiesce within {max_steps} steps")
     return peak

@@ -2,11 +2,12 @@
 
 import copy
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults.campaign import FaultConfig, run_chaos_workload
 from repro.obs.recorder import SimObserver
 from repro.obs.tracing import (
@@ -14,6 +15,7 @@ from repro.obs.tracing import (
     TraceCollector,
     capture_trace_task,
     chrome_trace_dict,
+    load_trace,
     slice_document,
     trace_document,
     validate_trace_document,
@@ -134,6 +136,8 @@ class TestDocuments:
         assert validate_trace_document(doc) is doc
         with pytest.raises(ConfigurationError):
             validate_trace_document({"schema": "repro.trace/999"})
+        with pytest.raises(ConfigurationError, match=r"spans\[1\] is not an object"):
+            validate_trace_document(dict(doc, spans=[doc["spans"][0], 7]))
 
     def test_slice_window_and_dangling_parents(self):
         doc = self.make_doc()
@@ -241,3 +245,43 @@ class TestEndToEnd:
             )
             outputs[jobs] = json.dumps(docs, sort_keys=True, indent=2)
         assert outputs[1] == outputs[4]
+
+
+GOLDEN_TRACE = Path(__file__).resolve().parents[1] / "golden" / "trace.json"
+#: Row fields the readers index directly; every other one is optional.
+REQUIRED = {
+    "events": {"id", "step", "kind", "process", "src", "dst", "message"},
+    "spans": {"span_id", "name", "owner", "op_id", "begin_step", "end_step"},
+}
+
+
+def _golden_fields():
+    """Every top-level field, and every field an event or span row has."""
+    doc = json.loads(GOLDEN_TRACE.read_text())
+    fields = {(None, name) for name in doc}
+    for section in REQUIRED:
+        fields.update((section, name) for row in doc[section] for name in row)
+    return sorted(fields, key=lambda field: (field[0] or "", field[1]))
+
+
+@pytest.mark.parametrize(
+    "section, field", _golden_fields(),
+    ids=lambda part: part or "doc",
+)
+def test_each_field_deletion_loads_or_raises_a_typed_error(tmp_path, section, field):
+    doc = json.loads(GOLDEN_TRACE.read_text())
+    for row in doc[section] if section else [doc]:
+        del row[field]
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(doc))
+    required = REQUIRED.get(section, {"schema"})
+    try:
+        loaded = load_trace(str(path))
+        slice_document(loaded, around=40)
+        chrome_trace_dict(loaded)
+    except ReproError as exc:
+        assert field in required and field in str(exc), exc
+        if section:
+            assert f"{section}[0] lacks field {field!r}" in str(exc)
+    else:
+        assert field not in required

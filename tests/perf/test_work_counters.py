@@ -11,8 +11,11 @@ The chaos step loop, over one instrumented campaign seed (ABD/CAS/CASGC
 x the ten fault shapes, N=5, f=1, 6-bit values, 10 operations per
 run).  A silent fallback to any per-step rescan fails it:
 
-* ``ChannelAdversary.allows`` runs only while a partition is active
-  (the always-on gate made 120,967 calls here, 78% unpartitioned);
+* the partition gate ``ChannelAdversary.partition_gate`` runs only
+  while a partition is active, and at most once per step (the
+  always-on gate made 120,967 per-channel ``allows`` calls here, 78%
+  unpartitioned; gated on the partition, it still made 26,714 while
+  partitioned, where the one-pass gate makes 1,628 calls);
 * ``storage_bits`` calls stay within deliveries + invocations +
   recoveries, plus one full count per run (the per-action rescan made
   35,390 calls);
@@ -20,7 +23,20 @@ run).  A silent fallback to any per-step rescan fails it:
   in-flight rescan made 275,832 calls; so does an ``enabled_channels``
   that rescans every channel);
 * the round-robin scheduler sorts ``enabled`` only when a channel it
-  has not seen appears (it used to sort at every step).
+  has not seen appears (it used to sort at every step);
+* ``repro.sim.network`` sorts once per run, to build its sorted pids:
+  the channel index is kept sorted in place (re-sorting the non-empty
+  channel set after every transition made 6,498 sorts).
+
+The measured Figure 1 over the benchmark's grid (ABD and CAS at
+(N, f) = (7, 3), (9, 4), (11, 5) and ν = 1, 2, 4, 6; 24 points,
+3,510 deliveries).  The peak sampler re-reads only the receiver of
+each delivery:
+
+* ``storage_bits`` calls stay within deliveries plus one full count of
+  the N servers per point (re-reading every server after every step
+  made 33,062 calls; the sampler makes 1,971);
+* ``repro.sim.network`` makes no sort (3,534 before).
 
 Schedule exploration, as ``repro explore`` runs it by default
 (SWMR-ABD, N=3, f=1, 2-bit values, write || read, no partial-order
@@ -83,7 +99,9 @@ import pickle
 import pytest
 
 import repro.consistency.atomicity as atomicity_module
+import repro.sim.network as network_module
 import repro.sim.scheduler as scheduler_module
+from repro.analysis.empirical import empirical_figure1
 from repro.consistency.atomicity import check_atomicity
 from repro.faults.adversary import ChannelAdversary
 from repro.faults.campaign import CAMPAIGN_ALGORITHMS, run_campaign
@@ -124,6 +142,16 @@ def _engine_defaults(patch):
         patch.delenv(name, raising=False)
 
 
+def _count_sorts(patch, tally, module, name):
+    """Shadow the ``sorted`` builtin inside ``module`` only, counting calls."""
+
+    def counted(*args, **kwargs):
+        tally[name] += 1
+        return sorted(*args, **kwargs)
+
+    patch.setattr(module, "sorted", counted, raising=False)
+
+
 @pytest.fixture(scope="module")
 def counts():
     """Call counts over one telemetry campaign seed, run in-process."""
@@ -131,17 +159,14 @@ def counts():
 
     def unpartitioned(adversary):
         if adversary.partition is None:
-            tally["allows_unpartitioned"] += 1
-
-    def scheduler_sorted(*args, **kwargs):
-        tally["scheduler_sorts"] += 1
-        return sorted(*args, **kwargs)
+            tally["gate_unpartitioned"] += 1
 
     with pytest.MonkeyPatch.context() as patch:
         _engine_defaults(patch)
         for cls, attr, name, note in (
             (World, "deliver", "deliveries", None),
-            (ChannelAdversary, "allows", "allows", unpartitioned),
+            (World, "step", "steps", None),
+            (ChannelAdversary, "partition_gate", "gate", unpartitioned),
             (ABDServer, "storage_bits", "storage_bits", None),
             (CASServer, "storage_bits", "storage_bits", None),
             (Channel, "__len__", "channel_len", None),
@@ -149,8 +174,8 @@ def counts():
             patch.setattr(
                 cls, attr, _counting(tally, name, cls.__dict__[attr], note)
             )
-        # Shadows the builtin inside the scheduler module only.
-        patch.setattr(scheduler_module, "sorted", scheduler_sorted, raising=False)
+        _count_sorts(patch, tally, scheduler_module, "scheduler_sorts")
+        _count_sorts(patch, tally, network_module, "network_sorts")
         report = run_campaign(
             algorithms=("abd", "cas", "casgc"), n=N, f=F, value_bits=VALUE_BITS,
             seeds=[SEED], num_ops=NUM_OPS, jobs=1, cache=None, telemetry=True,
@@ -168,8 +193,12 @@ def test_campaign_work_is_unchanged(counts):
 
 
 def test_partition_gate_runs_only_while_partitioned(counts):
-    assert counts["allows"] > 0
-    assert counts["allows_unpartitioned"] == 0
+    assert counts["gate"] > 0
+    assert counts["gate_unpartitioned"] == 0
+
+
+def test_partition_gate_runs_at_most_once_per_step(counts):
+    assert counts["gate"] <= counts["steps"]
 
 
 def test_storage_is_read_only_where_state_changed(counts):
@@ -193,6 +222,50 @@ def test_channel_length_is_read_about_once_per_delivery(counts):
 
 def test_scheduler_sorts_only_when_a_new_channel_appears(counts):
     assert 0 < counts["scheduler_sorts"] <= counts["runs"] * _channels_per_run()
+
+
+def test_channel_index_is_never_sorted(counts):
+    # The one sort per run builds the sorted pids (``_sorted_pids``).
+    assert counts["network_sorts"] <= counts["runs"]
+
+
+#: The benchmark's measured Figure 1 grid.
+FIGURE1_GRID, FIGURE1_NUS = ((7, 3), (9, 4), (11, 5)), (1, 2, 4, 6)
+
+
+@pytest.fixture(scope="module")
+def figure1_counts():
+    """Call counts over one pass of the measured Figure 1 grid."""
+    tally = collections.Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        _engine_defaults(patch)
+        for cls, attr, name in (
+            (World, "deliver", "deliveries"),
+            (ABDServer, "storage_bits", "storage_bits"),
+            (CASServer, "storage_bits", "storage_bits"),
+        ):
+            patch.setattr(cls, attr, _counting(tally, name, vars(cls)[attr]))
+        _count_sorts(patch, tally, network_module, "network_sorts")
+        for n, f in FIGURE1_GRID:
+            series = empirical_figure1(n=n, f=f, nus=FIGURE1_NUS, jobs=1)
+            points = len(series["measured_abd"]) + len(series["measured_cas"])
+            tally["points"] += points
+            tally["server_counts"] += points * n  # one full count per point
+    return tally
+
+
+def test_figure1_work_is_unchanged(figure1_counts):
+    assert figure1_counts["points"] == 24
+    assert figure1_counts["deliveries"] == 3_510
+
+
+def test_figure1_storage_is_read_only_at_the_receiver(figure1_counts):
+    bound = figure1_counts["deliveries"] + figure1_counts["server_counts"]
+    assert figure1_counts["storage_bits"] <= bound
+
+
+def test_figure1_sorts_nothing_in_the_simulator(figure1_counts):
+    assert figure1_counts["network_sorts"] == 0
 
 
 EXPLORE_N, EXPLORE_F, EXPLORE_VALUE_BITS, EXPLORE_VALUE = 3, 1, 2, 1

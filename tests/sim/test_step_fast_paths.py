@@ -1,11 +1,14 @@
 """Reference equivalence for the per-step fast paths.
 
-Three pieces of per-step work skip what the step did not change:
+Four pieces of per-step work skip what the step did not change:
 
 * ``RoundRobinScheduler.select`` re-sorts and registers keys only when
   ``enabled`` holds a key it has not seen;
-* ``World.enabled_channels`` consults the adversary's partition gate
-  only while a partition is active;
+* ``World.enabled_channels`` reads a channel index kept sorted in
+  place, and consults the adversary's partition gate only while a
+  partition is active, in one call for the whole key list;
+* ``ChannelAdversary.partition_gate`` filters that list in one pass
+  instead of one ``allows`` call per channel;
 * ``Partition.side_of``/``crosses`` read a pid -> group map built once.
 
 Each is checked here against the implementation it replaced, kept
@@ -52,7 +55,8 @@ class _RescanningRoundRobin(RoundRobinScheduler):
 
 
 def _always_gated(world: World, channel_filter: Optional[ChannelFilter] = None):
-    """The old ``enabled_channels``: the partition gate on every key."""
+    """The old ``enabled_channels``: rescan and sort every channel, then
+    the per-channel partition gate on every key."""
     keys = sorted(k for k, ch in world.channels.items() if len(ch) > 0)
     if channel_filter is not None:
         keys = [
@@ -176,6 +180,18 @@ def test_side_of_and_crosses_match_linear_scan(partition):
             assert partition.crosses(src, dst) == (
                 _linear_side_of(partition, src) != _linear_side_of(partition, dst)
             )
+
+
+@pytest.mark.parametrize("partition", PARTITIONS, ids=repr)
+def test_partition_gate_matches_allows_per_channel(partition):
+    pids = sorted(set().union(*partition.groups)) + ["zz", "s0"]
+    keys = [(src, dst) for src in pids for dst in pids if src != dst]
+    adversary = ChannelAdversary()
+    assert adversary.partition_gate(keys) == keys  # no partition: all open
+    adversary.start_partition(partition)
+    gated = adversary.partition_gate(keys)
+    assert gated == [k for k in keys if adversary.allows(*k)]
+    assert gated is not keys
 
 
 @pytest.mark.parametrize("partition", PARTITIONS, ids=repr)

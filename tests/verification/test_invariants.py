@@ -52,6 +52,30 @@ class TestCleanRuns:
         assert check_cas_invariants(handle) == []
 
 
+class TestStepBudget:
+    """An ABD n=3 f=1 write drains in 12 deliveries (see
+    ``tests/sim/test_hot_path.py::TestDeliverAllBudget``)."""
+
+    DRAIN = 12
+
+    def _check(self, max_steps):
+        handle = build_abd_system(n=3, f=1, value_bits=4)
+        self.world = handle.world
+        return check_invariants_during(
+            handle, concurrent_writes_driver([3]), max_steps=max_steps
+        )
+
+    def test_budget_equal_to_drain_count_returns(self):
+        assert self._check(self.DRAIN) == self.DRAIN
+        assert self.world.undelivered_channels() == []
+
+    def test_budget_one_short_raises_after_exactly_that_many(self):
+        with pytest.raises(AssertionError, match="within 11 steps"):
+            self._check(self.DRAIN - 1)
+        assert self.world.step_count == 1 + self.DRAIN - 1  # invoke + deliveries
+        assert self.world.undelivered_channels() != []
+
+
 class TestViolationDetection:
     def test_abd_tag_disagreement_detected(self):
         handle = build_abd_system(n=3, f=1, value_bits=4)
