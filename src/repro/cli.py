@@ -599,7 +599,7 @@ def _metrics_batch(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.obs.registry import MetricsRegistry
-    from repro.obs.report import storage_bound_rows
+    from repro.obs.report import format_bound_rows, storage_bound_rows
     from repro.parallel.pool import run_tasks
 
     payloads = [
@@ -662,19 +662,7 @@ def _metrics_batch(args: argparse.Namespace) -> int:
             ".2f", indent="  ",
         ))
     print("\nobserved peak storage vs lower bounds (bits, worst run)")
-    print(format_table(
-        ("theorem", "scope", "bound", "observed", "status"),
-        [
-            (
-                r["theorem"], r["scope"],
-                "n/a" if r["bound_bits"] is None else r["bound_bits"],
-                "n/a" if r["observed_bits"] is None else r["observed_bits"],
-                r["status"],
-            )
-            for r in bound_rows
-        ],
-        ".2f", indent="  ",
-    ))
+    print(format_bound_rows(bound_rows))
     if args.json:
         doc = {
             "schema": "repro.metrics-batch/1",

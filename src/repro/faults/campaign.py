@@ -718,8 +718,9 @@ def run_chaos_workload(
     )
     obs = world.obs
     if obs:
-        # Verdict counter first, so the telemetry counter snapshot —
-        # and thus the analytics verdict bucketing — includes it.
+        # Verdict counter first, so the telemetry counter snapshot
+        # includes it.  Analytics buckets verdicts by ``r.verdict()``,
+        # not by this counter.
         obs.registry.inc("faults.verdict." + result.verdict())
         result.telemetry = run_telemetry(
             obs,
@@ -727,9 +728,8 @@ def run_chaos_workload(
             symbol_bits=handle.params.get("symbol_bits"),
             gc_depth=handle.params.get("gc_depth"),
         )
-        tracer = getattr(obs, "tracer", None)
-        if tracer:
-            result.trace_tail = tuple(tracer.tail_json())
+        if obs.tracer:
+            result.trace_tail = tuple(obs.tracer.tail_json())
     return result
 
 

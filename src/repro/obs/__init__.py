@@ -3,8 +3,8 @@
 Everything the paper's bounds quantify — per-server storage in bits,
 messages and bits exchanged, active writes at a point — becomes
 structured telemetry here.  The layer is strictly optional: every
-``World`` starts with the no-op observer and pays one truth test per
-hook site until a :class:`SimObserver` is attached, and attaching one
+``World`` starts with ``obs = None`` and pays one truth test per hook
+site until a :class:`SimObserver` is attached, and attaching one
 changes no scheduler decision.
 
 Typical use::
@@ -36,23 +36,16 @@ from repro.obs.analytics import (
     storage_envelope_bits,
     write_analytics,
 )
-from repro.obs.recorder import (
-    NO_OP,
-    NullObserver,
-    SimObserver,
-    estimate_message_bits,
-)
+from repro.obs.recorder import SimObserver, estimate_message_bits
 from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
     TimeSeries,
 )
 from repro.obs.report import MetricsReport, REPORT_SCHEMA, storage_bound_rows
-from repro.obs.spans import NullSpanTracker, NULL_SPANS, Span, SpanTracker
+from repro.obs.spans import Span, SpanTracker
 from repro.obs.tracing import (
     TRACE_SCHEMA,
     TRACE_TAIL_EVENTS,
@@ -72,12 +65,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsReport",
-    "NO_OP",
-    "NULL_REGISTRY",
-    "NULL_SPANS",
-    "NullObserver",
-    "NullRegistry",
-    "NullSpanTracker",
     "REPORT_SCHEMA",
     "SimObserver",
     "Span",

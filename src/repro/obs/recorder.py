@@ -1,25 +1,23 @@
 """The SimObserver: the bridge between the simulator and the registry.
 
-``World`` owns exactly one observer.  By default it is the shared
-:data:`NO_OP` :class:`NullObserver` — falsy, deep-copy-stable, every
-method a no-op — so an uninstrumented simulation pays only an ``if
-self.obs:`` truth test per hook site.  Attaching a :class:`SimObserver`
-turns on metric and span collection without changing any scheduler
-decision: the observer only *reads* simulator state.
+``World.obs`` is ``None`` until a :class:`SimObserver` is attached, so
+an uninstrumented simulation pays only an ``if self.obs:`` truth test
+per hook site and calls nothing in this package.  Attaching one turns
+on metric and span collection without changing any scheduler decision:
+the observer only *reads* simulator state.
 
-This module deliberately imports nothing from ``repro.sim`` /
-``repro.registers`` / ``repro.workload`` — ``sim/network.py`` imports
-it, and a module-level import back into the simulator would create a
-cycle.
+The dependency runs one way: the simulator never imports ``repro.obs``
+(it only calls the hooks of an attached observer), and this module
+imports nothing from ``repro.sim``, ``repro.registers`` or
+``repro.workload``.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Optional
 
-from repro.obs.registry import MetricsRegistry, NullRegistry, NULL_REGISTRY
-from repro.obs.spans import NullSpanTracker, SpanTracker, NULL_SPANS
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import SpanTracker
 
 
 def estimate_message_bits(message) -> int:
@@ -67,84 +65,6 @@ def _storage_bits(process):
     return storage() if callable(storage) else storage
 
 
-class NullObserver:
-    """The disabled observer — the default on every ``World``.
-
-    Falsy (``if world.obs:`` skips all instrumentation), exposes a
-    :class:`NullRegistry` and :class:`NullSpanTracker` so unguarded
-    calls are still safe, and deep-copies to itself so ``World.fork``
-    keeps sharing the singleton instead of cloning dead weight.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.registry: NullRegistry = NULL_REGISTRY
-        self.spans: NullSpanTracker = NULL_SPANS
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __deepcopy__(self, memo: dict) -> "NullObserver":
-        return self
-
-    def __copy__(self) -> "NullObserver":
-        return self
-
-    tracer = None
-
-    def on_send(self, world, src: str, dst: str, message) -> None:
-        """No-op."""
-
-    def on_action(self, world, record) -> None:
-        """No-op."""
-
-    def on_deliver(self, world, src: str, dst: str, message, record) -> None:
-        """No-op."""
-
-    def on_drop(self, world, src: str, dst: str, message) -> None:
-        """No-op."""
-
-    def on_crashed_drop(self, world, src: str, dst: str, message) -> None:
-        """No-op."""
-
-    def on_duplicate(self, world, src: str, dst: str, message) -> None:
-        """No-op."""
-
-    def on_reorder(self, world, src: str, dst: str, message, index: int) -> None:
-        """No-op."""
-
-    def on_tamper(self, world, src: str, dst: str, message, tampered) -> None:
-        """No-op."""
-
-    def on_partition(self, world, pids, tick=None) -> None:
-        """No-op."""
-
-    def on_heal(self, world, tick=None) -> None:
-        """No-op."""
-
-    def begin_op(self, record) -> None:
-        """No-op."""
-
-    def end_op(self, record) -> None:
-        """No-op."""
-
-    def begin_span(self, owner: str, name: str, step: int, op_id=None):
-        """No-op; returns None."""
-        return None
-
-    def end_span(self, owner: str, name: str, step: int):
-        """No-op; returns None."""
-        return None
-
-    def __repr__(self) -> str:
-        return "NullObserver()"
-
-
-#: Shared disabled observer; ``World.__init__`` installs this instance.
-NO_OP = NullObserver()
-
-
 class SimObserver:
     """Collects metrics and spans from an instrumented ``World``.
 
@@ -153,15 +73,11 @@ class SimObserver:
     all do exactly that).  The observer is plain data: ``World.fork``
     deep-copies it, so forked worlds accumulate telemetry independently.
 
+    Every action samples per-server storage occupancy in bits into
+    the ``storage.*`` time series.
+
     Parameters
     ----------
-    registry:
-        Destination :class:`MetricsRegistry`; a fresh one by default.
-    spans:
-        Destination :class:`SpanTracker`; a fresh one by default.
-    sample_storage:
-        When True (default), sample per-server storage occupancy in
-        bits at every action into the ``storage.*`` time series.
     record_wall:
         Forwarded to the span tracker; enables wall-clock capture for
         ``repro profile``.  Leave False for deterministic artifacts.
@@ -181,19 +97,9 @@ class SimObserver:
     reference only, so ``World.fork`` can deep-copy the observer.
     """
 
-    enabled = True
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        spans: Optional[SpanTracker] = None,
-        sample_storage: bool = True,
-        record_wall: bool = False,
-        tracer=None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.spans = spans if spans is not None else SpanTracker(record_wall=record_wall)
-        self.sample_storage = sample_storage
+    def __init__(self, record_wall: bool = False, tracer=None) -> None:
+        self.registry = MetricsRegistry()
+        self.spans = SpanTracker(record_wall=record_wall)
         self.tracer = tracer
         # Incremental sampling state, set by ``_resync``.
         self._sampled = None  # weakref to the World last sampled
@@ -203,9 +109,6 @@ class SimObserver:
         self._stale: set = set()  # pids whose bits may be out of date
         self._total_bits = 0
         self._max_bits = 0
-
-    def __bool__(self) -> bool:
-        return True
 
     def __getstate__(self) -> dict:
         # A weak reference does not pickle; a copy resynchronises on
@@ -292,17 +195,16 @@ class SimObserver:
         reg.gauge("sim.messages_in_flight").set(in_flight)
         reg.timeseries("sim.messages_in_flight").record(step, in_flight)
 
-        if self.sample_storage:
-            if stale:
-                self._refresh(world.processes)
-            total_bits = self._total_bits
-            max_bits = self._max_bits
-            reg.gauge("storage.total_bits").set(total_bits)
-            reg.gauge("storage.max_server_bits").set(max_bits)
-            reg.timeseries("storage.total_bits").record(step, total_bits)
-            reg.timeseries("storage.max_server_bits").record(step, max_bits)
-            if self.tracer:
-                self.tracer.on_storage(step, total_bits, max_bits)
+        if stale:
+            self._refresh(world.processes)
+        total_bits = self._total_bits
+        max_bits = self._max_bits
+        reg.gauge("storage.total_bits").set(total_bits)
+        reg.gauge("storage.max_server_bits").set(max_bits)
+        reg.timeseries("storage.total_bits").record(step, total_bits)
+        reg.timeseries("storage.max_server_bits").record(step, max_bits)
+        if self.tracer:
+            self.tracer.on_storage(step, total_bits, max_bits)
 
         adversary = getattr(world, "adversary", None)
         if adversary is not None:

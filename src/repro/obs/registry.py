@@ -18,9 +18,7 @@ Instruments
 * :class:`TimeSeries` — values keyed by simulation step (per-step
   storage occupancy, queue depth).
 
-A disabled registry is the :class:`NullRegistry`: the same interface,
-every operation a no-op, truth-value ``False`` so hot paths can guard
-with a single ``if registry:`` test.
+An uninstrumented run creates no registry (``World.obs`` is ``None``).
 """
 
 from __future__ import annotations
@@ -200,16 +198,11 @@ class MetricsRegistry:
     the built-in instrumentation never does that).
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.series: Dict[str, TimeSeries] = {}
-
-    def __bool__(self) -> bool:
-        return True
 
     # -- get-or-create accessors --------------------------------------------
 
@@ -253,8 +246,7 @@ class MetricsRegistry:
         Semantics per kind: counters **add**; histograms **concatenate**
         observations; gauges take ``other``'s last value (min/max are
         combined); time series concatenate and re-sort by step, with
-        ``other`` winning ties.  Merging a :class:`NullRegistry` is a
-        no-op.
+        ``other`` winning ties.
         """
         for name, counter in other.counters.items():
             self.counter(name).inc(counter.value)
@@ -308,109 +300,3 @@ class MetricsRegistry:
             f"{len(self.gauges)} gauges, {len(self.histograms)} histograms, "
             f"{len(self.series)} series)"
         )
-
-
-class _NullInstrument:
-    """Shared do-nothing stand-in for every instrument kind."""
-
-    name = "<null>"
-    value = 0
-    min_seen = None
-    max_seen = None
-    observations: List[float] = []
-    count = 0
-    total = 0.0
-
-    def inc(self, amount: int = 1) -> None:
-        """No-op."""
-
-    def set(self, value: float) -> None:
-        """No-op."""
-
-    def observe(self, value: float) -> None:
-        """No-op."""
-
-    def record(self, step: int, value: float) -> None:
-        """No-op."""
-
-    def mean(self):
-        """Always None."""
-        return None
-
-    min = max = last = max_value = min_value = step_of_max = mean
-
-    def quantile(self, q: float):
-        """Always None."""
-        return None
-
-    def summary(self) -> dict:
-        """Empty summary."""
-        return {}
-
-    def points(self) -> list:
-        """No samples."""
-        return []
-
-    steps = values = points
-
-    def __len__(self) -> int:
-        return 0
-
-    def __bool__(self) -> bool:
-        return False
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """The disabled registry: same interface, every operation a no-op.
-
-    Falsy, so instrumentation sites can skip even the cheap calls with
-    ``if registry: ...``; safe to call unguarded too.  A single shared
-    instance (:data:`NULL_REGISTRY`) suffices — deep copies return the
-    same object so forked Worlds keep sharing it.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
-        self.series: Dict[str, TimeSeries] = {}
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __deepcopy__(self, memo: dict) -> "NullRegistry":
-        return self
-
-    def __copy__(self) -> "NullRegistry":
-        return self
-
-    def counter(self, name: str) -> Counter:
-        """A shared no-op instrument."""
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    gauge = counter
-    histogram = counter
-    timeseries = counter
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """No-op."""
-
-    def merge(self, other) -> "NullRegistry":
-        """No-op; returns self."""
-        return self
-
-    def snapshot(self) -> dict:
-        """An empty snapshot (all four sections present but empty)."""
-        return {"counters": {}, "gauges": {}, "histograms": {}, "series": {}}
-
-    def __repr__(self) -> str:
-        return "NullRegistry()"
-
-
-#: Shared disabled registry instance.
-NULL_REGISTRY = NullRegistry()

@@ -87,6 +87,29 @@ def storage_bound_rows(
     return rows
 
 
+def format_bound_rows(rows: List[dict]) -> str:
+    """Render :func:`storage_bound_rows` output as an indented table.
+
+    Columns: theorem, scope, bound, observed, status; a missing bound
+    or observation prints as ``n/a``.
+    """
+    return format_table(
+        ["theorem", "scope", "bound", "observed", "status"],
+        [
+            (
+                r["theorem"],
+                r["scope"],
+                "n/a" if r["bound_bits"] is None else r["bound_bits"],
+                "n/a" if r["observed_bits"] is None else r["observed_bits"],
+                r["status"],
+            )
+            for r in rows
+        ],
+        float_fmt=".2f",
+        indent="  ",
+    )
+
+
 class MetricsReport:
     """One run's telemetry, renderable as text or deterministic JSON.
 
@@ -97,7 +120,7 @@ class MetricsReport:
         Must contain only deterministic values — no wall times.
     observer:
         The :class:`~repro.obs.recorder.SimObserver` that watched the
-        run (a ``NullObserver`` yields an empty-but-valid report).
+        run (a fresh one yields an empty-but-valid report).
     bound_rows:
         Output of :func:`storage_bound_rows`, or None to omit the
         bounds section.
@@ -264,23 +287,7 @@ class MetricsReport:
 
         if self.bound_rows is not None:
             sections.append("\nobserved peak storage vs lower bounds (bits)")
-            sections.append(
-                format_table(
-                    ["theorem", "scope", "bound", "observed", "status"],
-                    [
-                        (
-                            r["theorem"],
-                            r["scope"],
-                            "n/a" if r["bound_bits"] is None else r["bound_bits"],
-                            "n/a" if r["observed_bits"] is None else r["observed_bits"],
-                            r["status"],
-                        )
-                        for r in self.bound_rows
-                    ],
-                    float_fmt=".2f",
-                    indent="  ",
-                )
-            )
+            sections.append(format_bound_rows(self.bound_rows))
         return "\n".join(sections)
 
     def __repr__(self) -> str:

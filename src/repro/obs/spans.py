@@ -99,9 +99,6 @@ class SpanTracker:
         self._owners: Dict[str, _OwnerState] = {}
         self._next_id = 0
 
-    def __bool__(self) -> bool:
-        return True
-
     def begin(
         self,
         owner: str,
@@ -222,54 +219,3 @@ class SpanTracker:
     def __repr__(self) -> str:
         open_count = len(self.open_spans())
         return f"SpanTracker({len(self.spans)} spans, {open_count} open)"
-
-
-class NullSpanTracker:
-    """Disabled span tracker: same interface, no-ops, falsy, fork-safe."""
-
-    record_wall = False
-    spans: List[Span] = []
-    unmatched_ends: List[dict] = []
-    crash_orphans: List[dict] = []
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __deepcopy__(self, memo: dict) -> "NullSpanTracker":
-        return self
-
-    def __copy__(self) -> "NullSpanTracker":
-        return self
-
-    def begin(self, owner, name, step, op_id=None):
-        """No-op; returns None."""
-        return None
-
-    def end(self, owner, name, step):
-        """No-op; returns None."""
-        return None
-
-    def note_crash(self, owner, step) -> list:
-        """No-op; returns []."""
-        return []
-
-    def open_spans(self) -> list:
-        """Always empty."""
-        return []
-
-    def stats(self) -> dict:
-        """Always empty."""
-        return {}
-
-    wall_stats = stats
-
-    def to_json_list(self, include_wall: bool = False) -> list:
-        """Always empty."""
-        return []
-
-    def __repr__(self) -> str:
-        return "NullSpanTracker()"
-
-
-#: Shared disabled tracker instance.
-NULL_SPANS = NullSpanTracker()

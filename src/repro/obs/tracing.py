@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 #: Schema tag of the canonical trace artifact.
@@ -83,21 +83,6 @@ class TraceEvent:
             "extra": {k: self.extra[k] for k in sorted(self.extra)},
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TraceEvent":
-        return cls(
-            event_id=data["id"],
-            step=data["step"],
-            kind=data["kind"],
-            process=data.get("process", ENV),
-            src=data.get("src", ""),
-            dst=data.get("dst", ""),
-            message_kind=data.get("message", ""),
-            lamport=data.get("lamport", 0),
-            parents=tuple(data.get("parents", ())),
-            extra=dict(data.get("extra", {})),
-        )
-
 
 class TraceCollector:
     """Collects :class:`TraceEvent` streams through SimObserver hooks.
@@ -128,9 +113,6 @@ class TraceCollector:
         self._next_id = 0
         self._last_storage: Optional[Tuple[float, float]] = None
 
-    def __bool__(self) -> bool:
-        return True
-
     def __deepcopy__(self, memo: dict) -> "TraceCollector":
         """Fork support: copy history, drop the in-flight message map.
 
@@ -141,21 +123,7 @@ class TraceCollector:
         runs never fork mid-trace, so this only affects exploration.
         """
         clone = TraceCollector(max_events=self.max_events)
-        clone.events = [
-            TraceEvent(
-                event_id=e.event_id,
-                step=e.step,
-                kind=e.kind,
-                process=e.process,
-                src=e.src,
-                dst=e.dst,
-                message_kind=e.message_kind,
-                lamport=e.lamport,
-                parents=e.parents,
-                extra=dict(e.extra),
-            )
-            for e in self.events
-        ]
+        clone.events = [replace(e, extra=dict(e.extra)) for e in self.events]
         clone.dropped = self.dropped
         clone._clocks = dict(self._clocks)
         clone._last_event = dict(self._last_event)
@@ -374,20 +342,50 @@ def trace_document(
     }
 
 
-#: Fields every event and span row must carry; the rest (``lamport``,
-#: ``parents``, ``extra``) are optional and read with ``.get``.
-_REQUIRED_FIELDS = (
-    ("events", ("id", "step", "kind", "process", "src", "dst", "message")),
-    ("spans", ("span_id", "name", "owner", "op_id", "begin_step", "end_step")),
-)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The JSON types a field may hold, named as error messages name them.
+_INT, _INT_OR_NULL, _STRING = "an int", "an int or null", "a string"
+_LIST, _INTS, _OBJECT = "a list", "a list of ints", "an object"
+_TYPES = {
+    _INT: _is_int,
+    _INT_OR_NULL: lambda value: value is None or _is_int(value),
+    _STRING: lambda value: isinstance(value, str),
+    _LIST: lambda value: isinstance(value, list),
+    _INTS: lambda value: isinstance(value, list) and all(map(_is_int, value)),
+    _OBJECT: lambda value: isinstance(value, dict),
+}
+
+#: Top-level fields the readers use, each optional.
+_DOCUMENT_FIELDS = {
+    "events": _LIST, "spans": _LIST, "meta": _OBJECT, "dropped_events": _INT,
+}
+
+#: Row fields the readers index.  All are required except ``lamport``,
+#: ``parents`` and ``extra``, which are read with ``.get``.
+_ROW_FIELDS = {
+    "events": {
+        "id": _INT, "step": _INT, "kind": _STRING, "process": _STRING,
+        "src": _STRING, "dst": _STRING, "message": _STRING,
+        "lamport": _INT, "parents": _INTS, "extra": _OBJECT,
+    },
+    "spans": {
+        "span_id": _INT, "name": _STRING, "owner": _STRING,
+        "op_id": _INT_OR_NULL, "begin_step": _INT, "end_step": _INT_OR_NULL,
+    },
+}
+_OPTIONAL_ROW_FIELDS = frozenset(("lamport", "parents", "extra"))
 
 
 def validate_trace_document(doc: dict) -> dict:
     """Reject documents that are not ``repro.trace/1``; returns ``doc``.
 
-    A row lacking a required field raises ``ConfigurationError`` naming
-    the field and the row, so a damaged file never reaches the readers
-    below as a bare ``KeyError``.
+    A row lacking a required field, or any field the readers below use
+    holding the wrong JSON type, raises ``ConfigurationError`` naming
+    the field, the row and the expected type, so a damaged file never
+    reaches them as a bare ``KeyError`` or ``TypeError``.
     """
     from repro.errors import ConfigurationError
 
@@ -396,12 +394,25 @@ def validate_trace_document(doc: dict) -> dict:
         raise ConfigurationError(
             f"unsupported trace schema {schema!r} (expected {TRACE_SCHEMA!r})"
         )
-    for section, fields in _REQUIRED_FIELDS:
+
+    def check(where: str, name: str, value, expected: str) -> None:
+        if not _TYPES[expected](value):
+            raise ConfigurationError(
+                f"trace {where}field {name!r} must be {expected}, "
+                f"not {type(value).__name__}"
+            )
+
+    for name, expected in _DOCUMENT_FIELDS.items():
+        if name in doc:
+            check("", name, doc[name], expected)
+    for section, fields in _ROW_FIELDS.items():
         for index, row in enumerate(doc.get(section, ())):
             if not isinstance(row, dict):
                 raise ConfigurationError(f"trace {section}[{index}] is not an object")
-            for name in fields:
-                if name not in row:
+            for name, expected in fields.items():
+                if name in row:
+                    check(f"{section}[{index}] ", name, row[name], expected)
+                elif name not in _OPTIONAL_ROW_FIELDS:
                     raise ConfigurationError(
                         f"trace {section}[{index}] lacks field {name!r}"
                     )

@@ -74,7 +74,6 @@ from repro.errors import (
     SimulationError,
     UnknownProcessError,
 )
-from repro.obs.recorder import NO_OP
 from repro.sim.channel import Channel
 from repro.sim.events import ActionRecord, Message, OperationRecord
 from repro.sim.process import ClientProcess, Process, ProcessContext, ServerProcess
@@ -124,13 +123,14 @@ class World:
         #: an active partition gates which channels are enabled.  The
         #: executable proofs never install one — channels stay reliable.
         self.adversary = None
-        #: Observer for the obs layer.  The default no-op singleton is
-        #: falsy, so every hook site below costs one truth test; attach
-        #: a :class:`repro.obs.recorder.SimObserver` to collect metrics
-        #: and spans.  The observer only reads state — it never affects
-        #: scheduling — and ``world_digest`` ignores it, so digests
-        #: match between instrumented and uninstrumented twins.
-        self.obs = NO_OP
+        #: Observer for the obs layer: ``None`` (off) or a
+        #: :class:`repro.obs.recorder.SimObserver`.  Every hook site
+        #: below guards with ``if self.obs:``, so off costs one truth
+        #: test per site and calls nothing.  The observer only reads
+        #: state — it never affects scheduling — and ``world_digest``
+        #: ignores it, so digests match between instrumented and
+        #: uninstrumented twins.
+        self.obs = None
 
     # -- topology ------------------------------------------------------------
 
@@ -606,13 +606,11 @@ class World:
         clone.adversary = (
             None if self.adversary is None else self.adversary.clone()
         )
-        # A real observer is deep-copied (it may hold mutable metric
-        # state).  A falsy observer (the NullObserver singleton, None)
-        # is shared directly: NO_OP deep-copies to itself anyway, and
-        # skipping the deepcopy protocol dispatch keeps the
-        # uninstrumented fork path free (pinned by the tracing-off
-        # counters in tests/perf/test_work_counters.py).
-        clone.obs = copy.deepcopy(self.obs) if self.obs else self.obs
+        # An observer is deep-copied (it holds mutable metric state);
+        # with none attached the fork makes no ``copy.deepcopy`` call
+        # at all (pinned by ``test_forks_make_no_deep_copies`` in
+        # tests/perf/test_work_counters.py).
+        clone.obs = copy.deepcopy(self.obs) if self.obs else None
         clone._processes = dict(self._processes)
         clone._channels = dict(self._channels)
         clone.processes = MappingProxyType(clone._processes)

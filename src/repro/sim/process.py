@@ -42,7 +42,7 @@ class ProcessContext:
 
     @property
     def obs(self):
-        """The World's observer (no-op unless instrumentation is attached).
+        """The World's observer: ``None`` unless instrumentation is attached.
 
         Protocol code emits phase spans through this, guarded by its
         truth value: ``if ctx.obs: ctx.obs.begin_span(...)``.

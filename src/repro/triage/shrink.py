@@ -24,9 +24,8 @@ completion order; evaluating the full round makes the shrink result a
 pure function of the bundle, byte-identical at any ``--jobs`` count
 (the determinism guard in ``tests/triage/test_shrink_parallel.py``).
 
-Progress is observable: shrink rounds, candidates, acceptances, and
-cache hits are counted on the provided observer's registry
-(``triage.shrink.*``), and each ddmin phase runs inside a span.
+Progress is reported on the :class:`ShrinkResult`: rounds, candidates,
+acceptances and cache hits, plus a round-by-round log.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.recorder import NO_OP
 from repro.parallel.cache import RunCache
 from repro.parallel.pool import run_tasks
 from repro.triage.bundle import ReproBundle
@@ -133,14 +131,13 @@ class ShrinkResult:
 
 
 class _Shrinker:
-    """One shrink run's state: evaluation plumbing + telemetry."""
+    """One shrink run's state: evaluation plumbing + progress counts."""
 
     def __init__(
         self,
         bundle: ReproBundle,
         jobs: Optional[int],
         cache: Optional[RunCache],
-        observer,
         chunk: Optional[int] = None,
     ) -> None:
         self.bundle = bundle
@@ -148,7 +145,6 @@ class _Shrinker:
         self.jobs = jobs
         self.chunk = chunk
         self.cache = cache
-        self.observer = observer
         self.result = ShrinkResult(
             original=bundle, minimized=bundle, signature=self.target
         )
@@ -167,7 +163,6 @@ class _Shrinker:
                 results[i] = self.cache.get(key)
                 if results[i] is not None:
                     self.result.cache_hits += 1
-                    self.observer.registry.inc("triage.shrink.cache_hits")
         pending = [i for i in range(len(payloads)) if results[i] is None]
         fresh = run_tasks(
             _replay_task,
@@ -180,7 +175,6 @@ class _Shrinker:
             if self.cache is not None:
                 self.cache.put(keys[i], data)
         self.result.candidates += len(candidates)
-        self.observer.registry.inc("triage.shrink.candidates", len(candidates))
         for i, data in enumerate(results):
             if outcome_signature(data) == self.target:
                 return i
@@ -190,11 +184,8 @@ class _Shrinker:
         """Minimal kept-item set still reproducing the signature."""
         current = list(items)
         granularity = 2
-        spans = self.observer.spans
-        spans.begin("triage", "shrink.ddmin", step=0)
         while len(current) >= 1:
             self.result.rounds += 1
-            self.observer.registry.inc("triage.shrink.rounds")
             size = len(current)
             bounds = [
                 (size * k // granularity, size * (k + 1) // granularity)
@@ -219,7 +210,6 @@ class _Shrinker:
             if hit >= 0:
                 kept = kept_sets[hit]
                 self.result.accepted += 1
-                self.observer.registry.inc("triage.shrink.accepted")
                 self.result.log.append(
                     f"round {self.result.rounds}: kept {len(kept)}/{size} "
                     "items, failure preserved"
@@ -235,7 +225,6 @@ class _Shrinker:
                 )
                 break
             granularity = min(granularity * 2, size)
-        spans.end("triage", "shrink.ddmin", step=self.result.rounds)
         return current
 
     def zero_budgets(self, shrunk: ReproBundle) -> ReproBundle:
@@ -244,8 +233,6 @@ class _Shrinker:
         config = shrunk.fault_config
         if config is None:
             return shrunk
-        spans = self.observer.spans
-        spans.begin("triage", "shrink.budgets", step=self.result.rounds)
         for fld in (
             "drop_probability",
             "duplicate_probability",
@@ -258,11 +245,9 @@ class _Shrinker:
             )
             if self._evaluate([candidate]) == 0:
                 self.result.accepted += 1
-                self.observer.registry.inc("triage.shrink.accepted")
                 self.result.log.append(f"zeroed {fld}, failure preserved")
                 shrunk = candidate
                 config = shrunk.fault_config
-        spans.end("triage", "shrink.budgets", step=self.result.rounds)
         return shrunk
 
 
@@ -270,7 +255,6 @@ def shrink_bundle(
     bundle: ReproBundle,
     jobs: Optional[int] = None,
     cache: Optional[RunCache] = None,
-    observer=NO_OP,
     chunk: Optional[int] = None,
 ) -> ShrinkResult:
     """Minimize ``bundle`` while preserving its exact failure signature.
@@ -285,7 +269,7 @@ def shrink_bundle(
             "only chaos bundles are shrinkable; an exploration "
             "counterexample's delivery schedule is already its essence"
         )
-    shrinker = _Shrinker(bundle, jobs, cache, observer, chunk=chunk)
+    shrinker = _Shrinker(bundle, jobs, cache, chunk=chunk)
     if shrinker._evaluate([bundle]) != 0:
         raise ConfigurationError(
             "bundle does not reproduce its recorded failure signature "

@@ -1,7 +1,8 @@
 """The atomicity checker against a brute-force reference.
 
-The memoized search in :mod:`repro.consistency.atomicity` must agree
-with a straightforward (exponential) reference on every small history:
+The memoized search in :mod:`repro.consistency.atomicity`, with and
+without the interval decomposition, must agree with a straightforward
+(exponential) reference on every small history:
 enumerate each subset of incomplete writes to include, each permutation
 of the chosen operations, check real-time order and register legality.
 Hypothesis generates the histories.
@@ -88,11 +89,13 @@ class TestAgainstBruteForce:
     @given(small_histories())
     def test_checker_matches_reference(self, ops):
         expected = brute_force_atomic(ops)
-        actual = check_atomicity(ops).ok
-        assert actual == expected, (
-            f"checker={actual}, brute-force={expected}, "
-            f"history={[(o.kind, o.value, o.invoke_step, o.response_step) for o in ops]}"
-        )
+        history = [(o.kind, o.value, o.invoke_step, o.response_step) for o in ops]
+        for kwargs in ({}, {"decompose": False}):
+            actual = check_atomicity(ops, **kwargs).ok
+            assert actual == expected, (
+                f"checker({kwargs})={actual}, brute-force={expected}, "
+                f"history={history}"
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(small_histories(), st.integers(min_value=0, max_value=2))

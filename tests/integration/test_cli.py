@@ -300,16 +300,23 @@ class TestParallelCommands:
     def test_metrics_batch_json(self, capsys, tmp_path):
         import json
 
+        from repro.obs.report import format_bound_rows
+
         path = tmp_path / "batch.json"
         assert main([
             "metrics", "--algorithm", "cas", "-n", "5", "-f", "1",
             "--ops", "4", "--runs", "2", "--json", str(path),
         ]) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
         doc = json.loads(path.read_text())
         assert doc["schema"] == "repro.metrics-batch/1"
         assert len(doc["runs"]) == 2
         assert doc["merged"]["counters"]["sim.messages_sent"] > 0
+        # The batch prints its bounds with the single-run report's table.
+        assert (
+            "\nobserved peak storage vs lower bounds (bits, worst run)\n"
+            + format_bound_rows(doc["bounds"])
+        ) in out
 
     def test_sweep(self, capsys, tmp_path):
         out_file = tmp_path / "sweeps.txt"

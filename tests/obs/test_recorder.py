@@ -1,12 +1,10 @@
 """Observer wiring: metrics from real runs, and the instrumentation-off
 guarantee — attaching a SimObserver changes no scheduler decision."""
 
-import copy
-
 import pytest
 
 from repro.consistency.history import History
-from repro.obs.recorder import NO_OP, NullObserver, SimObserver, estimate_message_bits
+from repro.obs.recorder import SimObserver, estimate_message_bits
 from repro.registers.abd import build_abd_system
 from repro.registers.cas import build_cas_system
 from repro.sim.events import Message
@@ -14,9 +12,9 @@ from repro.sim.snapshot import world_digest
 from repro.workload.generator import run_random_workload
 
 
-def _observed(handle, num_ops, seed, observer=None):
-    """Attach ``observer`` (a fresh one by default), run, return it."""
-    observer = handle.world.obs = observer if observer is not None else SimObserver()
+def _observed(handle, num_ops, seed):
+    """Attach a fresh observer, run, return it."""
+    observer = handle.world.obs = SimObserver()
     run_random_workload(handle, num_ops, seed=seed)
     return observer
 
@@ -45,23 +43,12 @@ class TestEstimateMessageBits:
         assert two == one + 3  # one extra 3-bit int
 
 
-class TestNullObserver:
-    def test_falsy_singleton_survives_deepcopy(self):
-        assert not NO_OP
-        assert copy.deepcopy(NO_OP) is NO_OP
-        assert isinstance(NO_OP, NullObserver)
-
-    def test_world_default_observer_is_shared_noop(self):
+class TestObserverOff:
+    def test_world_default_observer_is_none(self):
         handle = build_abd_system(n=5, f=2, value_bits=8)
-        assert handle.world.obs is NO_OP
+        assert handle.world.obs is None
         forked = handle.world.fork()
-        assert forked.obs is NO_OP
-
-    def test_unguarded_calls_are_safe(self):
-        NO_OP.on_send(None, "a", "b", None)
-        NO_OP.on_action(None, None)
-        assert NO_OP.begin_span("c", "x", 0) is None
-        assert NO_OP.end_span("c", "x", 0) is None
+        assert forked.obs is None
 
 
 class TestWiring:
@@ -133,10 +120,3 @@ class TestDeterminism:
             handle = build_abd_system(n=5, f=2, value_bits=8)
             snaps.append(_observed(handle, num_ops=10, seed=4).registry.snapshot())
         assert snaps[0] == snaps[1]
-
-    def test_sample_storage_off_skips_storage_series(self, small_abd):
-        obs = _observed(
-            small_abd, num_ops=4, seed=0, observer=SimObserver(sample_storage=False)
-        )
-        assert "storage.total_bits" not in obs.registry.series
-        assert obs.registry.counter("sim.messages_sent").value > 0

@@ -1,6 +1,4 @@
-"""Registry semantics: instrument edge cases, merge, and the null registry."""
-
-import copy
+"""Registry semantics: instrument edge cases and merge."""
 
 import pytest
 
@@ -9,8 +7,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
     TimeSeries,
 )
 
@@ -134,12 +130,6 @@ class TestMerge:
         assert a.gauge("g").min_seen == 1
         assert a.gauge("g").max_seen == 5
 
-    def test_merge_null_registry_is_noop(self):
-        a = MetricsRegistry()
-        a.inc("x")
-        a.merge(NULL_REGISTRY)
-        assert a.counter("x").value == 1
-
     def test_snapshot_sorted_and_complete(self):
         reg = MetricsRegistry()
         reg.inc("b")
@@ -148,26 +138,3 @@ class TestMerge:
         assert list(snap["counters"]) == ["a", "b"]
         assert set(snap) == {"counters", "gauges", "histograms", "series"}
 
-
-class TestNullRegistry:
-    def test_falsy_and_inert(self):
-        null = NullRegistry()
-        assert not null
-        null.inc("x", 100)
-        null.counter("x").inc(5)
-        null.gauge("g").set(1)
-        null.histogram("h").observe(1)
-        null.timeseries("t").record(1, 1)
-        assert null.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-            "series": {},
-        }
-
-    def test_deepcopy_returns_same_object(self):
-        assert copy.deepcopy(NULL_REGISTRY) is NULL_REGISTRY
-
-    def test_enabled_flags(self):
-        assert MetricsRegistry().enabled
-        assert not NULL_REGISTRY.enabled

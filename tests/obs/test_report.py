@@ -6,8 +6,13 @@ import pytest
 
 from repro.core.bounds import singleton_total_bits
 from repro.obs.analytics import max_concurrent_writes
-from repro.obs.recorder import NO_OP, SimObserver
-from repro.obs.report import MetricsReport, REPORT_SCHEMA, storage_bound_rows
+from repro.obs.recorder import SimObserver
+from repro.obs.report import (
+    MetricsReport,
+    REPORT_SCHEMA,
+    format_bound_rows,
+    storage_bound_rows,
+)
 from repro.registers.cas import build_cas_system
 from repro.workload.generator import run_random_workload
 
@@ -125,8 +130,21 @@ class TestFormat:
             assert fragment in text
         assert "WARNING" not in text  # clean run: no orphan spans
 
+    def test_bound_table(self):
+        rows = storage_bound_rows(5, 1, 4, 1, 75.0, None)
+        table = format_bound_rows(rows)
+        lines = table.splitlines()
+        assert lines[0].split() == ["theorem", "scope", "bound", "observed", "status"]
+        assert lines[3].split() == ["theorem_b1", "max", "1.00", "n/a", "unmeasured"]
+        assert lines[4].split() == ["theorem_41", "total", "n/a", "75.00", "n/a"]
+        assert all(line.startswith("  ") for line in lines)
+        report = MetricsReport({}, SimObserver(), bound_rows=rows).format()
+        assert report.endswith(
+            "\nobserved peak storage vs lower bounds (bits)\n" + table
+        )
+
     def test_empty_observer_renders(self):
-        report = MetricsReport({"algorithm": "none"}, NO_OP)
+        report = MetricsReport({"algorithm": "none"}, SimObserver())
         text = report.format()
         assert "metrics report" in text
 

@@ -7,7 +7,7 @@ never legitimately ended — not silently dropped.
 
 from repro.faults.campaign import FaultConfig, run_chaos_workload
 from repro.obs.recorder import SimObserver
-from repro.obs.spans import NullSpanTracker, SpanTracker
+from repro.obs.spans import SpanTracker
 from repro.registers.catalog import build_client_system
 
 
@@ -42,11 +42,6 @@ class TestNoteCrash:
         spans = SpanTracker()
         assert spans.note_crash("s000", 3) == []
         assert spans.crash_orphans == []
-
-    def test_null_tracker_contract(self):
-        null = NullSpanTracker()
-        assert null.note_crash("s000", 3) == []
-        assert null.crash_orphans == []
 
 
 class TestUnderChaosSchedule:

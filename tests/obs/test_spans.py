@@ -1,8 +1,6 @@
 """Span nesting, orphan detection, and duration statistics."""
 
-import copy
-
-from repro.obs.spans import NullSpanTracker, NULL_SPANS, SpanTracker
+from repro.obs.spans import SpanTracker
 
 
 class TestNesting:
@@ -88,17 +86,3 @@ class TestStats:
         assert t.spans[0].wall_seconds >= 0
         assert t.wall_stats()["op/read"]["count"] == 1
 
-
-class TestNullSpanTracker:
-    def test_falsy_and_inert(self):
-        assert not NULL_SPANS
-        assert NULL_SPANS.begin("c", "x", 0) is None
-        assert NULL_SPANS.end("c", "x", 1) is None
-        assert NULL_SPANS.open_spans() == []
-        assert NULL_SPANS.stats() == {}
-        assert NULL_SPANS.to_json_list() == []
-        assert NULL_SPANS.unmatched_ends == []
-
-    def test_deepcopy_returns_same_object(self):
-        assert copy.deepcopy(NULL_SPANS) is NULL_SPANS
-        assert isinstance(NULL_SPANS, NullSpanTracker)

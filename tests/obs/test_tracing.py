@@ -285,3 +285,68 @@ def test_each_field_deletion_loads_or_raises_a_typed_error(tmp_path, section, fi
             assert f"{section}[0] lacks field {field!r}" in str(exc)
     else:
         assert field not in required
+
+
+#: The JSON type of every field the readers use, by section (None is
+#: the document itself); the other fields may hold anything.
+TYPED = {
+    None: {
+        "events": "a list", "spans": "a list", "meta": "an object",
+        "dropped_events": "an int",
+    },
+    "events": {
+        "id": "an int", "step": "an int", "kind": "a string",
+        "process": "a string", "src": "a string", "dst": "a string",
+        "message": "a string", "lamport": "an int",
+        "parents": "a list of ints", "extra": "an object",
+    },
+    "spans": {
+        "span_id": "an int", "name": "a string", "owner": "a string",
+        "op_id": "an int or null", "begin_step": "an int",
+        "end_step": "an int or null",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "section, field", _golden_fields(),
+    ids=lambda part: part or "doc",
+)
+def test_each_field_of_a_wrong_type_loads_or_raises_a_typed_error(
+    tmp_path, section, field
+):
+    doc = json.loads(GOLDEN_TRACE.read_text())
+    for row in doc[section] if section else [doc]:
+        row[field] = 0 if isinstance(row[field], str) else "0"
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(doc))
+    expected = TYPED[section].get(field)
+    try:
+        loaded = load_trace(str(path))
+        slice_document(loaded, around=40)
+        chrome_trace_dict(loaded)
+    except ReproError as exc:
+        if field == "schema":
+            assert "unsupported trace schema 0" in str(exc)
+        else:
+            where = f"{section}[0] " if section else ""
+            assert f"trace {where}field {field!r} must be {expected}," in str(exc)
+    else:
+        assert field != "schema" and expected is None
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("events", "step", True),
+        ("events", "parents", [0, "1"]),
+        ("events", "extra", []),
+        ("spans", "owner", None),
+        ("spans", "begin_step", None),
+    ],
+)
+def test_bool_null_and_mixed_list_values_are_rejected(section, field, value):
+    doc = TestDocuments().make_doc()
+    doc[section][0][field] = value
+    with pytest.raises(ConfigurationError, match=rf"{section}\[0\] field '{field}'"):
+        validate_trace_document(doc)

@@ -73,11 +73,12 @@ largest quiescent segment (221), and the distinct closures cover
 Search states are not the measure: the decomposed search visits more
 of them (10,277 against 3,810).
 
-Tracing off costs nothing: an untraced fork, exploration and campaign
-call no method of ``NullObserver``, ``NullRegistry``,
-``NullSpanTracker`` or ``SimObserver`` beyond the falsy ``__bool__``
-guard, and build no ``TraceEvent``.  A truthy null observer, an
-unguarded hook call or a fork that deep-copies ``NO_OP`` fails it.
+Tracing off costs nothing: ``World.obs`` is ``None``, and an untraced
+fork, exploration and campaign call no ``SimObserver`` method and
+build no ``TraceEvent``.  An untraced path that attaches an observer
+fails it.  An unguarded hook call fails every untraced test with an
+``AttributeError`` on ``None``, and a fork that deep-copies ``None``
+fails the fork counter above.
 
 The pool, over a 60-run campaign (ABD/CAS/CASGC x ten shapes x two
 seeds, 4 operations) at two jobs: one ``apply_async`` per chunk (8 at
@@ -105,9 +106,7 @@ from repro.analysis.empirical import empirical_figure1
 from repro.consistency.atomicity import check_atomicity
 from repro.faults.adversary import ChannelAdversary
 from repro.faults.campaign import CAMPAIGN_ALGORITHMS, run_campaign
-from repro.obs.recorder import NullObserver, SimObserver
-from repro.obs.registry import NullRegistry
-from repro.obs.spans import NullSpanTracker
+from repro.obs.recorder import SimObserver
 from repro.obs.tracing import TraceEvent
 from repro.registers.abd import ABDServer, build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
@@ -429,22 +428,16 @@ def test_checker_closures_stay_within_quiescent_segments():
     assert sum(n * n for n in mono_sizes.values()) == 800 * 800
 
 
-#: Observer classes an untraced run must never call into.
-NULL_SIDE = (NullObserver, NullRegistry, NullSpanTracker, SimObserver)
-
-
 @pytest.fixture(scope="module")
 def untraced_calls():
-    """Observer-method calls and TraceEvents over untraced work."""
+    """SimObserver-method calls and TraceEvents over untraced work."""
     tally = collections.Counter()
     with pytest.MonkeyPatch.context() as patch:
         _engine_defaults(patch)
-        for cls in NULL_SIDE:
-            for name, attr in list(vars(cls).items()):
-                # ``__bool__`` is the falsy guard every hook site runs.
-                if inspect.isfunction(attr) and name != "__bool__":
-                    label = f"{cls.__name__}.{name}"
-                    patch.setattr(cls, name, _counting(tally, label, attr))
+        for name, attr in list(vars(SimObserver).items()):
+            if inspect.isfunction(attr):
+                label = f"SimObserver.{name}"
+                patch.setattr(SimObserver, name, _counting(tally, label, attr))
         patch.setattr(
             TraceEvent, "__init__",
             _counting(tally, "TraceEvent", TraceEvent.__init__),
