@@ -103,16 +103,20 @@ metrics-smoke:
 
 # Trace smoke: capture a causally-traced chaos run (repro.trace/1 plus
 # the Chrome/Perfetto export), fold a chaos campaign into fleet
-# analytics (repro.analytics/1), and assert that tracing off calls no
-# observer method and builds no trace event.  Artifacts land in
-# benchmarks/results/; every one is byte-identical at any --jobs.
+# analytics (repro.analytics/1), and assert the cost of tracing both
+# ways: off calls no observer method and builds no trace event; on
+# binds its instruments once, skips gauge writes that change nothing,
+# builds only the trace events the tail keeps and takes no registry
+# snapshot.  Artifacts land in benchmarks/results/; every one is
+# byte-identical at any --jobs.
 trace-smoke:
 	$(PYTHON) -m repro trace capture --algorithm abd --shape kitchen-sink \
 		--ops 10 --out benchmarks/results/trace_smoke.json --chrome
 	$(PYTHON) -m repro chaos --algorithms abd cas --n 5 --f 1 --seeds 1 \
 		--ops 6 --jobs 2 --out "" \
 		--analytics benchmarks/results/analytics_smoke.json
-	$(PYTHON) -m pytest tests/perf/test_work_counters.py -q -k tracing_off
+	$(PYTHON) -m pytest tests/perf/test_work_counters.py -q \
+		-k "tracing_off or telemetry"
 
 # Triage smoke: rig an ABD safety violation (stale-tags tampering),
 # ddmin-shrink the repro bundle, and assert the minimized workload is

@@ -177,7 +177,7 @@ def run_telemetry(
             ),
             "series": downsample_series(total.points() if total else ()),
         },
-        "counters": dict(registry.snapshot()["counters"]),
+        "counters": registry.counter_values(),
         "nu_observed": max_concurrent_writes(operations),
         "writes_invoked": writes,
         "symbol_bits": symbol_bits,

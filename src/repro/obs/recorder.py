@@ -34,20 +34,26 @@ def estimate_message_bits(message) -> int:
     bits = 8 * len(message.kind)
     for key, value in message.body:
         bits += 8 * len(key)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            bits += 1
-        elif isinstance(value, int):
-            bits += max(1, value.bit_length())
-        elif isinstance(value, str):
-            bits += 8 * len(value)
-        elif isinstance(value, (tuple, list)):
+        # Exact types first: protocol bodies hold ints and (int, str)
+        # tags.  Testing for sequences before bools, ints and strings
+        # changes no result, as no value can be both.
+        kind = type(value)
+        if kind is int:
+            bits += value.bit_length() or 1
+        elif kind is tuple or isinstance(value, (tuple, list)):
             for item in value:
                 if isinstance(item, int):
-                    bits += max(1, item.bit_length())
+                    bits += item.bit_length() or 1
                 else:
                     bits += 8 * len(repr(item))
+        elif value is None:
+            continue
+        elif isinstance(value, bool):
+            bits += 1
+        elif isinstance(value, int):
+            bits += value.bit_length() or 1
+        elif isinstance(value, str):
+            bits += 8 * len(value)
         else:
             bits += 8 * len(repr(value))
     return bits
@@ -95,6 +101,11 @@ class SimObserver:
     sample of a World (a fork included) and any change to its process
     set trigger one full count instead.  The World is held by weak
     reference only, so ``World.fork`` can deep-copy the observer.
+
+    The instruments written on every action or send are looked up once,
+    when first used, and held after that; a fork or a pickle copies them
+    with the registry, so a copy writes only to its own.  A gauge is not
+    re-set to the object it holds: that changes neither value nor min/max.
     """
 
     def __init__(self, record_wall: bool = False, tracer=None) -> None:
@@ -109,6 +120,12 @@ class SimObserver:
         self._stale: set = set()  # pids whose bits may be out of date
         self._total_bits = 0
         self._max_bits = 0
+        # Instruments bound at first use (see the class docstring).
+        self._sampling = None  # the per-action tuple, ``_bind_sampling``
+        self._sending = None  # the per-send tuple, ``_bind_sending``
+        self._fault_gauges = None  # partitions started, heals
+        self._actions: dict = {}  # action kind -> sim.actions.<kind>
+        self._sent: dict = {}  # message kind -> sim.sent.<kind>
 
     def __getstate__(self) -> dict:
         # A weak reference does not pickle; a copy resynchronises on
@@ -135,13 +152,17 @@ class SimObserver:
         self._retotal()
 
     def _refresh(self, processes) -> None:
-        """Re-read the stale pids' storage; re-total if any stores bits."""
+        """Re-read the stale pids' storage; re-total if any changed."""
         bits = self._bits
         touched = False
         for pid in self._stale:
             if pid in bits:
-                bits[pid] = _storage_bits(processes[pid])
-                touched = True
+                value = _storage_bits(processes[pid])
+                held = bits[pid]
+                # Equal in value and type re-sums to the same totals.
+                if value != held or type(value) is not type(held):
+                    bits[pid] = value
+                    touched = True
         self._stale.clear()
         if touched:
             self._retotal()
@@ -159,25 +180,61 @@ class SimObserver:
 
     # -- World hooks ---------------------------------------------------------
 
+    def _bind_sending(self) -> tuple:
+        reg = self.registry
+        return (
+            reg.counter("sim.messages_sent"),
+            reg.counter("sim.message_bits_sent"),
+            reg.histogram("sim.message_bits"),
+        )
+
+    def _bind_sampling(self) -> tuple:
+        reg = self.registry
+        return (
+            reg.counter("sim.steps"),
+            reg.gauge("sim.messages_in_flight"),
+            reg.timeseries("sim.messages_in_flight"),
+            reg.gauge("storage.total_bits"),
+            reg.gauge("storage.max_server_bits"),
+            reg.timeseries("storage.total_bits"),
+            reg.timeseries("storage.max_server_bits"),
+        )
+
     def on_send(self, world, src: str, dst: str, message) -> None:
         """Record one message enqueued from ``src`` to ``dst``."""
         self._in_flight += 1
-        reg = self.registry
         bits = estimate_message_bits(message)
-        reg.inc("sim.messages_sent")
-        reg.inc("sim.message_bits_sent", bits)
-        reg.inc(f"sim.sent.{message.kind}")
-        reg.histogram("sim.message_bits").observe(bits)
+        sending = self._sending
+        if sending is None:
+            sending = self._sending = self._bind_sending()
+        messages, bits_sent, histogram = sending
+        messages.value += 1
+        bits_sent.value += bits
+        kind = message.kind
+        sent = self._sent.get(kind)
+        if sent is None:
+            sent = self._sent[kind] = self.registry.counter(f"sim.sent.{kind}")
+        sent.value += 1
+        histogram.observe(bits)
         if self.tracer:
             self.tracer.on_send(world.step_count, src, dst, message)
 
     def on_action(self, world, record) -> None:
         """Record one executed action (the simulator just took a step)."""
-        reg = self.registry
         step = record.step
         kind = record.kind
-        reg.inc(f"sim.actions.{kind}")
-        reg.counter("sim.steps").value = step
+        action = self._actions.get(kind)
+        if action is None:
+            action = self._actions[kind] = self.registry.counter(
+                f"sim.actions.{kind}"
+            )
+        action.value += 1
+        sampling = self._sampling
+        if sampling is None:
+            sampling = self._sampling = self._bind_sampling()
+        (steps, in_flight_gauge, in_flight_series, total_gauge, max_gauge,
+         total_series, max_series) = sampling
+        steps.value = step
 
         stale = self._stale
         if kind == "crash" or kind == "recover":
@@ -191,25 +248,39 @@ class SimObserver:
             self._resync(world)
         elif kind in _CONSUMING_ACTIONS:
             self._in_flight -= 1
+        # Gauges compare by identity: 0 == 0.0, but they print apart.
         in_flight = self._in_flight
-        reg.gauge("sim.messages_in_flight").set(in_flight)
-        reg.timeseries("sim.messages_in_flight").record(step, in_flight)
+        if in_flight is not in_flight_gauge.value:
+            in_flight_gauge.set(in_flight)
+        in_flight_series.record(step, in_flight)
 
         if stale:
             self._refresh(world.processes)
         total_bits = self._total_bits
         max_bits = self._max_bits
-        reg.gauge("storage.total_bits").set(total_bits)
-        reg.gauge("storage.max_server_bits").set(max_bits)
-        reg.timeseries("storage.total_bits").record(step, total_bits)
-        reg.timeseries("storage.max_server_bits").record(step, max_bits)
+        if total_bits is not total_gauge.value:
+            total_gauge.set(total_bits)
+        if max_bits is not max_gauge.value:
+            max_gauge.set(max_bits)
+        total_series.record(step, total_bits)
+        max_series.record(step, max_bits)
         if self.tracer:
             self.tracer.on_storage(step, total_bits, max_bits)
 
         adversary = getattr(world, "adversary", None)
         if adversary is not None:
-            reg.gauge("faults.partitions_started").set(adversary.partitions_started)
-            reg.gauge("faults.heals").set(adversary.heals)
+            gauges = self._fault_gauges
+            if gauges is None:
+                reg = self.registry
+                gauges = self._fault_gauges = (
+                    reg.gauge("faults.partitions_started"),
+                    reg.gauge("faults.heals"),
+                )
+            started, heals = gauges
+            if adversary.partitions_started is not started.value:
+                started.set(adversary.partitions_started)
+            if adversary.heals is not heals.value:
+                heals.set(adversary.heals)
 
         if kind == "crash":
             self.spans.note_crash(record.src, step)

@@ -269,13 +269,14 @@ class MetricsRegistry:
 
     # -- export --------------------------------------------------------------
 
+    def counter_values(self) -> Dict[str, int]:
+        """Every counter's value, names sorted (the snapshot's counters)."""
+        return {name: self.counters[name].value for name in sorted(self.counters)}
+
     def snapshot(self) -> dict:
         """JSON-ready view of every instrument, names sorted."""
         return {
-            "counters": {
-                name: self.counters[name].value
-                for name in sorted(self.counters)
-            },
+            "counters": self.counter_values(),
             "gauges": {
                 name: {
                     "value": g.value,

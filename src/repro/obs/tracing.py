@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 #: Schema tag of the canonical trace artifact.
@@ -98,11 +100,18 @@ class TraceCollector:
     with a strong reference pinned in the map, so a duplicate delivery
     of the same frozen ``Message`` resolves to the same send event and
     CPython id reuse can never alias two live messages.
+
+    Each event is stored as one plain row, its :class:`TraceEvent`
+    fields in order: in a ``deque(maxlen=max_events)`` when bounded, a
+    list otherwise.  ``TraceEvent`` objects are built only when the
+    events are read (:attr:`events`, :meth:`tail_json`,
+    :func:`trace_document`), so a bounded tail builds only what it
+    keeps.
     """
 
     def __init__(self, max_events: Optional[int] = None) -> None:
         self.max_events = max_events
-        self.events: List[TraceEvent] = []
+        self._rows = [] if max_events is None else deque(maxlen=max_events)
         self.dropped = 0
         #: Per-process Lamport clocks (ENV owns the environment clock).
         self._clocks: Dict[str, int] = {}
@@ -123,7 +132,7 @@ class TraceCollector:
         runs never fork mid-trace, so this only affects exploration.
         """
         clone = TraceCollector(max_events=self.max_events)
-        clone.events = [replace(e, extra=dict(e.extra)) for e in self.events]
+        clone._rows.extend(row[:-1] + (dict(row[-1]),) for row in self._rows)
         clone.dropped = self.dropped
         clone._clocks = dict(self._clocks)
         clone._last_event = dict(self._last_event)
@@ -132,12 +141,12 @@ class TraceCollector:
         memo[id(self)] = clone
         return clone
 
-    # -- event construction --------------------------------------------------
+    @property
+    def events(self) -> List[TraceEvent]:
+        """The kept events, oldest first, built from the rows on each read."""
+        return [TraceEvent(*row) for row in self._rows]
 
-    def _tick(self, process: str) -> int:
-        clock = self._clocks.get(process, 0) + 1
-        self._clocks[process] = clock
-        return clock
+    # -- event construction --------------------------------------------------
 
     def _emit(
         self,
@@ -150,33 +159,32 @@ class TraceCollector:
         lamport: Optional[int] = None,
         message_parent: Optional[int] = None,
         extra: Optional[dict] = None,
-    ) -> TraceEvent:
-        parents: List[int] = []
+    ) -> int:
+        """Store one event row (ticking ``process``'s clock unless
+        ``lamport`` is given); returns the event's id."""
+        event_id = self._next_id
+        self._next_id = event_id + 1
+        # Parents in id order: the process's previous event and the
+        # message's send event, each if there is one, once.
         prev = self._last_event.get(process)
-        if prev is not None:
-            parents.append(prev)
-        if message_parent is not None and message_parent not in parents:
-            parents.append(message_parent)
-        event = TraceEvent(
-            event_id=self._next_id,
-            step=step,
-            kind=kind,
-            process=process,
-            src=src,
-            dst=dst,
-            message_kind=message_kind,
-            lamport=lamport if lamport is not None else self._tick(process),
-            parents=tuple(sorted(parents)),
-            extra=extra or {},
-        )
-        self._next_id += 1
-        self._last_event[process] = event.event_id
-        self.events.append(event)
-        if self.max_events is not None and len(self.events) > self.max_events:
-            overflow = len(self.events) - self.max_events
-            del self.events[:overflow]
-            self.dropped += overflow
-        return event
+        if message_parent is None or message_parent == prev:
+            parents = () if prev is None else (prev,)
+        elif prev is None:
+            parents = (message_parent,)
+        elif prev < message_parent:
+            parents = (prev, message_parent)
+        else:
+            parents = (message_parent, prev)
+        if lamport is None:
+            lamport = self._clocks.get(process, 0) + 1
+            self._clocks[process] = lamport
+        self._last_event[process] = event_id
+        rows = self._rows
+        if len(rows) == self.max_events:
+            self.dropped += 1  # the deque drops its oldest row
+        rows.append((event_id, step, kind, process, src, dst, message_kind,
+                     lamport, parents, extra or {}))
+        return event_id
 
     def _send_entry(self, message) -> Optional[Tuple[object, int, int]]:
         return self._messages.get(id(message))
@@ -185,9 +193,10 @@ class TraceCollector:
 
     def on_send(self, step: int, src: str, dst: str, message) -> None:
         """A message entered the channel src->dst."""
-        event = self._emit(step, "send", src, src=src, dst=dst,
-                           message_kind=message.kind)
-        self._messages[id(message)] = (message, event.event_id, event.lamport)
+        event_id = self._emit(step, "send", src, src=src, dst=dst,
+                              message_kind=message.kind)
+        # ``_emit`` just ticked ``src``'s clock to the send's Lamport time.
+        self._messages[id(message)] = (message, event_id, self._clocks[src])
 
     def on_deliver(self, step: int, src: str, dst: str, message) -> None:
         """A message reached its receiver's handler."""
@@ -315,11 +324,13 @@ class TraceCollector:
 
     def tail_json(self, limit: int = TRACE_TAIL_EVENTS) -> List[dict]:
         """The newest ``limit`` events as JSON-ready dicts."""
-        return [e.to_json_dict() for e in self.events[-limit:]]
+        rows = self._rows
+        newest = islice(rows, max(0, len(rows) - limit), None)
+        return [TraceEvent(*row).to_json_dict() for row in newest]
 
     def __repr__(self) -> str:
         return (
-            f"TraceCollector({len(self.events)} events, "
+            f"TraceCollector({len(self._rows)} events, "
             f"{self.dropped} dropped)"
         )
 

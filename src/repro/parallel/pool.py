@@ -45,8 +45,11 @@ task executes the same pure function on the same payload.
   PIDs are recorded whenever the pool is obtained, and any change
   means a worker died.  The pool is rebuilt and the in-flight chunks
   re-queued, uncharged.
-* **Task errors** are bugs, not pool failures: the exception
-  propagates and the in-flight work is cancelled with the pool.
+* **Task errors** are bugs, not pool failures: no further chunk is
+  dispatched, the chunks in flight finish under their deadlines, and
+  the first exception propagates.  The workers are healthy, so the
+  pool is kept for the next call; killing it here could deadlock in
+  ``Pool.terminate()``.
 * **Cancellation.**  ``on_result`` returning a truthy value stops the
   batch and cancels in-flight work (the campaign's ``--fail-fast``).
 
@@ -397,7 +400,8 @@ def run_tasks(
     failures: Dict[int, int] = {}  # position -> timeouts charged
     in_flight: List[_Flight] = []
     done: deque = deque()  # (flight, [(position, result), ...])
-    errors: deque = deque()  # task exceptions, re-raised in the parent
+    errors: deque = deque()  # (flight, task exception)
+    failure: Optional[BaseException] = None  # the first, re-raised here
     wake = threading.Event()
     pids = _worker_pids(pool)
     rebuilds = 0
@@ -418,8 +422,8 @@ def run_tasks(
             done.append((_flight, rows))
             wake.set()
 
-        def _on_error(exc):
-            errors.append(exc)
+        def _on_error(exc, _flight=flight):
+            errors.append((_flight, exc))
             wake.set()
 
         pool.apply_async(
@@ -439,6 +443,16 @@ def run_tasks(
                     fill(position, value)
                     landed = True
         return landed
+
+    def drain_errors() -> None:
+        """Retire the chunks whose task raised; keep the first error."""
+        nonlocal failure
+        while errors:
+            flight, exc = errors.popleft()
+            if flight in in_flight:
+                in_flight.remove(flight)
+            if failure is None:
+                failure = exc
 
     def charge(position: int, now: float) -> None:
         """A timed-out slot: retry it alone, or quarantine it."""
@@ -466,7 +480,7 @@ def run_tasks(
             if due:
                 delayed[:] = [entry for entry in delayed if entry[0] > now]
                 ready.extend(positions for _, positions in due)
-            while ready and len(in_flight) < max_inflight:
+            while ready and len(in_flight) < max_inflight and failure is None:
                 submit(ready.popleft(), now)
 
             # Sleep until the next interesting moment: a completion or
@@ -484,13 +498,15 @@ def run_tasks(
             now = time.monotonic()
             expired = [fl for fl in in_flight if now >= fl.deadline]
             died = bool(in_flight) and _worker_pids(pool) != pids
-            if drain_done():
+            drain_errors()
+            # Once a task has raised, results still land in their
+            # slots, but ``on_result`` no longer fires.
+            if drain_done() and failure is None:
                 emit_ready_prefix()
             if stop:
                 break
-            if errors:
-                shutdown_pool()
-                raise errors.popleft()
+            if failure is not None and not in_flight:
+                raise failure
             # A chunk that landed after the deadline check was in time.
             expired = [fl for fl in expired if fl in in_flight]
             if not expired and not died:
@@ -504,6 +520,8 @@ def run_tasks(
             # Hung or dead workers can only be stopped by killing the
             # whole pool; every in-flight chunk loses its work.
             shutdown_pool()
+            if failure is not None:
+                raise failure
             rebuilds += 1
             lost = list(in_flight)
             in_flight.clear()

@@ -171,9 +171,10 @@ class RoundRobinScheduler(Scheduler):
     key that stayed enabled is selected at least once — genuine
     round-robin fairness under churn.
 
-    New keys join the order in sorted order.  Once every channel has
-    been seen, a selection costs one ``issuperset`` test instead of a
-    sort and a membership probe per enabled key.
+    New keys join the order in sorted order.  A selection hashes each
+    enabled key once, to build the set it probes; once every channel
+    has been seen, that set's subset test against the known keys
+    replaces a sort and a membership probe per enabled key.
     """
 
     def __init__(self) -> None:
@@ -189,13 +190,12 @@ class RoundRobinScheduler(Scheduler):
         return duplicate
 
     def select(self, world: "World", enabled: List[ChannelKey]) -> ChannelKey:
-        known = self._known
-        if not known.issuperset(enabled):
-            for key in sorted(enabled):
-                if key not in known:
-                    known.add(key)
-                    self._order.append(key)
         enabled_set = set(enabled)
+        known = self._known
+        if not enabled_set <= known:
+            for key in sorted(enabled_set - known):
+                known.add(key)
+                self._order.append(key)
         total = len(self._order)
         for offset in range(total):
             index = (self._cursor + offset) % total

@@ -146,6 +146,17 @@ def _faulty_world(algorithm, seed):
     return handle
 
 
+def _step_counts(world):
+    """``sim.steps`` and ``sim.actions.deliver`` in ``world``'s registry."""
+    counters = world.obs.registry.counters
+    return counters["sim.steps"].value, counters["sim.actions.deliver"].value
+
+
+def _actual_step_counts(world):
+    """The same two counts, from the World and the checked actions."""
+    return world.step_count, world.obs.kinds["deliver"]
+
+
 @pytest.mark.parametrize("algorithm", sorted(CAMPAIGN_ALGORITHMS))
 def test_fork_mid_run_keeps_both_twins_exact(algorithm):
     handle = _faulty_world(algorithm, seed=3)
@@ -154,8 +165,16 @@ def test_fork_mid_run_keeps_both_twins_exact(algorithm):
     twin = world.fork()
     assert twin.obs is not world.obs
     before = twin.obs.checked
+    at_fork = _step_counts(twin)
     _drive(world, handle, random.Random(12), 400)
+    # Each twin's bound instruments are its own registry's: driving
+    # one advances only its counters.
+    assert _step_counts(twin) == at_fork
+    advanced = _step_counts(world)
+    assert advanced == _actual_step_counts(world)
     _drive(twin, handle, random.Random(13), 400)
+    assert _step_counts(world) == advanced
+    assert _step_counts(twin) == _actual_step_counts(twin) != at_fork
     for observer in (world.obs, twin.obs):
         assert observer.mismatches == []
     assert twin.obs.checked > before + 100
@@ -182,9 +201,12 @@ def test_pickled_world_resynchronises_and_holds_no_world():
     world = handle.world
     _drive(world, handle, random.Random(21), 120)
     copy = pickle.loads(pickle.dumps(world))
+    at_pickle = _step_counts(world)
     _drive(copy, handle, random.Random(22), 200)
     assert copy.obs.checked > world.obs.checked + 100
     assert copy.obs.mismatches == []
+    assert _step_counts(world) == at_pickle
+    assert _step_counts(copy) == _actual_step_counts(copy) != at_pickle
     # The observer outlives its World without keeping it alive.
     observer, alive = copy.obs, weakref.ref(copy)
     del copy

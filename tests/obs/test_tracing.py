@@ -85,7 +85,9 @@ class TestCollector:
         assert len(tc.events) == 3
         assert tc.dropped == 7
         assert [e.step for e in tc.events] == [7, 8, 9]
-        assert len(tc.tail_json(2)) == 2
+        assert [e["step"] for e in tc.tail_json(2)] == [8, 9]
+        assert tc.tail_json(0) == []
+        assert len(tc.tail_json(5)) == 3
 
     def test_storage_samples_dedup_unchanged(self):
         tc = TraceCollector()

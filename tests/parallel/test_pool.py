@@ -4,9 +4,9 @@ Also the persistence contract (one pool per process, reused across
 ``run_tasks`` calls, grown by recreation) and the degradation contract
 (sandboxed semaphores fall back to in-process serial execution with
 identical output; a dead worker is replaced and its chunks re-run; a
-task error propagates without counting as a pool failure).  The
-timeout, retry, quarantine and cancellation contract is in
-``test_supervisor.py``.
+task error propagates without counting as a pool failure, and the pool
+is kept).  The timeout, retry, quarantine and cancellation contract is
+in ``test_supervisor.py``.
 """
 
 import json
@@ -69,6 +69,11 @@ def boom_in_pool(payload):
     return payload
 
 
+def always_raises(payload):
+    """Raises in every task, wherever it runs."""
+    raise AttributeError(f"task {payload} has no attribute 'x'")
+
+
 def die_once(payload):
     """Kills its worker process on first execution, then succeeds."""
     if payload["die"] and not os.path.exists(payload["marker"]):
@@ -100,6 +105,15 @@ print(json.dumps({"results": results, "emitted": emitted, "stats": stats}))
 """
 
 
+def _isolated_env():
+    """This environment minus the engine knobs, importing this checkout."""
+    env = dict(os.environ)
+    for name in (JOBS_ENV, CHUNK_ENV, TASK_TIMEOUT_ENV):
+        env.pop(name, None)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
+    return env
+
+
 def run_isolated(fn_name, payloads):
     """``run_tasks(jobs=2, chunk=2)`` in a fresh interpreter, no timeout.
 
@@ -108,13 +122,10 @@ def run_isolated(fn_name, payloads):
     Returns ``(results, engine counter delta, stderr)`` after checking
     that ``on_result`` fired once per task, in task order.
     """
-    env = dict(os.environ)
-    env.pop(TASK_TIMEOUT_ENV, None)
-    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
     proc = subprocess.run(
         [sys.executable, "-c", _ISOLATED_BATCH, fn_name, json.dumps(payloads)],
         cwd=REPO,
-        env=env,
+        env=_isolated_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -123,6 +134,29 @@ def run_isolated(fn_name, payloads):
     out = json.loads(proc.stdout)
     assert out["emitted"] == list(range(len(payloads)))
     return out["results"], out["stats"], proc.stderr
+
+
+_RAISING_BATCHES = """
+import json, os
+import repro.parallel.pool as pool_mod
+from tests.parallel import test_pool
+raised, workers = 0, set()
+for _ in range(30):
+    try:
+        pool_mod.run_tasks(test_pool.always_raises, list(range(30)), jobs=2)
+    except AttributeError:
+        raised += 1
+    workers.add(pool_mod._worker_pids(pool_mod._POOL[0]))
+pool_mod.shutdown_pool()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children_left = True
+except ChildProcessError:
+    children_left = False
+print(json.dumps(
+    {"raised": raised, "pools": len(workers), "children_left": children_left}
+))
+"""
 
 
 class _InProcessPool:
@@ -352,6 +386,26 @@ class TestDegradation:
         assert ENGINE_STATS.delta_since(before)["parallel.fallbacks"] == 0
         assert "died mid-flight" not in capsys.readouterr().err
         assert CALLS == []
+
+    def test_raising_batches_never_hang_and_keep_the_pool(self):
+        # Tearing the pool down on a task error can deadlock in
+        # ``Pool.terminate()``, so a raising batch keeps its pool.  In a
+        # fresh interpreter, under a 20 s limit, 30 batches whose every
+        # task raises must each end in that exception, on one pool
+        # whose workers never changed; after a clean shutdown no child
+        # is left, not even an unreaped zombie.
+        proc = subprocess.run(
+            [sys.executable, "-c", _RAISING_BATCHES],
+            cwd=REPO,
+            env=_isolated_env(),
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "raised": 30, "pools": 1, "children_left": False,
+        }
 
 
 class TestFallbackObservability:

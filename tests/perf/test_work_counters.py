@@ -28,6 +28,20 @@ run).  A silent fallback to any per-step rescan fails it:
   the channel index is kept sorted in place (re-sorting the non-empty
   channel set after every transition made 6,498 sorts).
 
+The same seed's telemetry (a ``SimObserver`` per run with a bounded
+trace tail; the ``telemetry`` tests) does only the work its output
+needs:
+
+* registry get-or-create calls stay within 3,000 (2,396 here): the
+  observer binds the instruments it writes per action or send at
+  their first use (a lookup by name per write made 98,247 calls);
+* ``Gauge.set`` runs at most 4,600 times (4,566 here): a gauge is not
+  re-set to the value it holds (5 sets per action made 35,390);
+* ``TraceEvent`` objects are built only for the tail each run keeps,
+  at most 64 per run (one per event made 16,050);
+* ``run_telemetry`` reads the counters without a
+  ``MetricsRegistry.snapshot()`` (it took 30, one per run).
+
 The measured Figure 1 over the benchmark's grid (ABD and CAS at
 (N, f) = (7, 3), (9, 4), (11, 5) and ν = 1, 2, 4, 6; 24 points,
 3,510 deliveries).  The peak sampler re-reads only the receiver of
@@ -107,7 +121,8 @@ from repro.consistency.atomicity import check_atomicity
 from repro.faults.adversary import ChannelAdversary
 from repro.faults.campaign import CAMPAIGN_ALGORITHMS, run_campaign
 from repro.obs.recorder import SimObserver
-from repro.obs.tracing import TraceEvent
+from repro.obs.registry import Gauge, MetricsRegistry
+from repro.obs.tracing import TRACE_TAIL_EVENTS, TraceEvent
 from repro.registers.abd import ABDServer, build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
 from repro.registers.cas import CASServer, build_cas_system
@@ -169,6 +184,13 @@ def counts():
             (ABDServer, "storage_bits", "storage_bits", None),
             (CASServer, "storage_bits", "storage_bits", None),
             (Channel, "__len__", "channel_len", None),
+            (MetricsRegistry, "counter", "registry_lookups", None),
+            (MetricsRegistry, "gauge", "registry_lookups", None),
+            (MetricsRegistry, "histogram", "registry_lookups", None),
+            (MetricsRegistry, "timeseries", "registry_lookups", None),
+            (MetricsRegistry, "snapshot", "snapshots", None),
+            (Gauge, "set", "gauge_sets", None),
+            (TraceEvent, "__init__", "trace_events", None),
         ):
             patch.setattr(
                 cls, attr, _counting(tally, name, cls.__dict__[attr], note)
@@ -226,6 +248,22 @@ def test_scheduler_sorts_only_when_a_new_channel_appears(counts):
 def test_channel_index_is_never_sorted(counts):
     # The one sort per run builds the sorted pids (``_sorted_pids``).
     assert counts["network_sorts"] <= counts["runs"]
+
+
+def test_telemetry_binds_instruments_once(counts):
+    assert counts["registry_lookups"] <= 3_000
+
+
+def test_telemetry_skips_gauge_writes_that_change_nothing(counts):
+    assert counts["gauge_sets"] <= 4_600
+
+
+def test_telemetry_builds_only_the_trace_events_the_tail_keeps(counts):
+    assert counts["trace_events"] <= counts["runs"] * TRACE_TAIL_EVENTS
+
+
+def test_telemetry_takes_no_registry_snapshot(counts):
+    assert counts["snapshots"] == 0
 
 
 #: The benchmark's measured Figure 1 grid.

@@ -3,7 +3,8 @@
 Four pieces of per-step work skip what the step did not change:
 
 * ``RoundRobinScheduler.select`` re-sorts and registers keys only when
-  ``enabled`` holds a key it has not seen;
+  ``enabled`` holds a key it has not seen, and hashes each enabled key
+  once;
 * ``World.enabled_channels`` reads a channel index kept sorted in
   place, and consults the adversary's partition gate only while a
   partition is active, in one call for the whole key list;
@@ -115,6 +116,40 @@ def test_round_robin_select_matches_rescanning_loop(seed):
         assert fast._known == legacy._known
         assert fast._cursor == legacy._cursor
     assert len(fast._order) > 4
+
+
+class _CountedKey(tuple):
+    """A channel key that counts how often any key of its type is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountedKey.hashes += 1
+        return tuple.__hash__(self)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_round_robin_select_hashes_each_enabled_key_once(seed):
+    """One hash per enabled key (the probed set), plus one per probe of
+    the cyclic scan and one per key registered; never a second pass
+    over ``enabled``."""
+    rng = random.Random(seed)
+    keys = [_CountedKey(key) for key in ALL_KEYS]
+    scheduler = RoundRobinScheduler()
+    pool = rng.sample(keys, 4)
+    for step in range(400):
+        if step % 40 == 39 and len(pool) < len(keys):
+            pool.append(rng.choice([k for k in keys if k not in pool]))
+        enabled = rng.sample(pool, rng.randint(1, len(pool)))
+        known_before = len(scheduler._known)
+        cursor = scheduler._cursor
+        _CountedKey.hashes = 0
+        picked = scheduler.select(None, enabled)
+        hashes = _CountedKey.hashes
+        order = scheduler._order
+        new = len(scheduler._known) - known_before
+        probes = (order.index(picked) - cursor) % len(order) + 1
+        assert hashes <= len(enabled) + probes + new
 
 
 # -- partition gate ---------------------------------------------------------
