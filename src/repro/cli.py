@@ -927,8 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "(implies run instrumentation)")
     p.add_argument("--verbose", action="store_true", help="per-run progress")
     p.add_argument("--fail-fast", action="store_true",
-                   help="stop at the first unacceptable run, cancelling "
-                   "in-flight work (the report then holds the runs up to "
+                   help="stop at the first unacceptable run, dispatching "
+                   "no further work (the report then holds the runs up to "
                    "the failure)")
     p.add_argument("--task-timeout", type=float, default=None,
                    metavar="SECONDS",

@@ -1150,7 +1150,7 @@ def run_campaign(
 
     ``fail_fast`` stops at the first unacceptable run; the report then
     holds exactly the runs up to and including the failure.  The
-    engine cancels in-flight work on stop, so fail-fast runs at
+    engine dispatches nothing more on stop, so fail-fast runs at
     full parallelism — the *set* of reported runs is deterministic
     because results are committed in task order.
 

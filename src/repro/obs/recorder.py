@@ -34,26 +34,20 @@ def estimate_message_bits(message) -> int:
     bits = 8 * len(message.kind)
     for key, value in message.body:
         bits += 8 * len(key)
-        # Exact types first: protocol bodies hold ints and (int, str)
-        # tags.  Testing for sequences before bools, ints and strings
-        # changes no result, as no value can be both.
-        kind = type(value)
-        if kind is int:
-            bits += value.bit_length() or 1
-        elif kind is tuple or isinstance(value, (tuple, list)):
-            for item in value:
-                if isinstance(item, int):
-                    bits += item.bit_length() or 1
-                else:
-                    bits += 8 * len(repr(item))
-        elif value is None:
+        if value is None:
             continue
-        elif isinstance(value, bool):
+        if isinstance(value, bool):
             bits += 1
         elif isinstance(value, int):
-            bits += value.bit_length() or 1
+            bits += max(1, value.bit_length())
         elif isinstance(value, str):
             bits += 8 * len(value)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                if isinstance(item, int):
+                    bits += max(1, item.bit_length())
+                else:
+                    bits += 8 * len(repr(item))
         else:
             bits += 8 * len(repr(value))
     return bits

@@ -102,16 +102,15 @@ class TraceCollector:
     CPython id reuse can never alias two live messages.
 
     Each event is stored as one plain row, its :class:`TraceEvent`
-    fields in order: in a ``deque(maxlen=max_events)`` when bounded, a
-    list otherwise.  ``TraceEvent`` objects are built only when the
-    events are read (:attr:`events`, :meth:`tail_json`,
-    :func:`trace_document`), so a bounded tail builds only what it
-    keeps.
+    fields in order, in a ``deque(maxlen=max_events)``.  ``TraceEvent``
+    objects are built only when the events are read (:attr:`events`,
+    :meth:`tail_json`, :func:`trace_document`), so a bounded tail
+    builds only what it keeps.
     """
 
     def __init__(self, max_events: Optional[int] = None) -> None:
         self.max_events = max_events
-        self._rows = [] if max_events is None else deque(maxlen=max_events)
+        self._rows = deque(maxlen=max_events)
         self.dropped = 0
         #: Per-process Lamport clocks (ENV owns the environment clock).
         self._clocks: Dict[str, int] = {}

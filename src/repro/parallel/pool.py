@@ -45,13 +45,15 @@ task executes the same pure function on the same payload.
   PIDs are recorded whenever the pool is obtained, and any change
   means a worker died.  The pool is rebuilt and the in-flight chunks
   re-queued, uncharged.
-* **Task errors** are bugs, not pool failures: no further chunk is
-  dispatched, the chunks in flight finish under their deadlines, and
-  the first exception propagates.  The workers are healthy, so the
-  pool is kept for the next call; killing it here could deadlock in
-  ``Pool.terminate()``.
+* **Task errors** are bugs, not pool failures: the first exception
+  propagates once the batch has wound down (below).
 * **Cancellation.**  ``on_result`` returning a truthy value stops the
-  batch and cancels in-flight work (the campaign's ``--fail-fast``).
+  batch (the campaign's ``--fail-fast``), also by winding it down.
+* **Winding down.**  After a task error or a cancellation no further
+  chunk is dispatched and ``on_result`` no longer fires, but the
+  chunks in flight finish under their deadlines and land in their
+  slots.  The workers are healthy, so the pool is kept for the next
+  call: killing workers mid-chunk can deadlock ``Pool.terminate()``.
 
 If the host forbids worker pools (sandboxed semaphores), or the pool
 was rebuilt more than ``_POOL_REBUILD_LIMIT`` times in one batch, the
@@ -273,8 +275,8 @@ def shutdown_pool() -> None:
     """Tear the persistent pool down (idempotent; re-created on use).
 
     Registered via ``atexit`` so interpreter shutdown never hangs on
-    live workers; also how hung workers and cancelled work are killed,
-    and the escape hatch for tests that need a fresh pool.
+    live workers; also how hung or dead workers are killed, and the
+    escape hatch for tests that need a fresh pool.
     """
     global _POOL
     if _POOL is None:
@@ -315,8 +317,8 @@ def run_tasks(
     """Run ``fn`` over ``payloads``; return results in payload order.
 
     ``on_result(index, result)`` fires in strict task order; a truthy
-    return value cancels the batch, and the slots it never reached
-    stay ``UNSET``.  ``on_complete(index, result)`` fires the moment a
+    return value cancels the batch, and the slots never run stay
+    ``UNSET``.  ``on_complete(index, result)`` fires the moment a
     slot fills, in completion order — the campaign journal's hook.
 
     With one job (or one task) and no timeout everything runs
@@ -474,13 +476,14 @@ def run_tasks(
         fill(position, value)
 
     try:
-        while filled < len(payloads) and not stop:
+        while in_flight or (filled < len(payloads) and not stop):
             now = time.monotonic()
             due = [entry for entry in delayed if entry[0] <= now]
             if due:
                 delayed[:] = [entry for entry in delayed if entry[0] > now]
                 ready.extend(positions for _, positions in due)
-            while ready and len(in_flight) < max_inflight and failure is None:
+            winding_down = stop or failure is not None
+            while ready and len(in_flight) < max_inflight and not winding_down:
                 submit(ready.popleft(), now)
 
             # Sleep until the next interesting moment: a completion or
@@ -499,12 +502,9 @@ def run_tasks(
             expired = [fl for fl in in_flight if now >= fl.deadline]
             died = bool(in_flight) and _worker_pids(pool) != pids
             drain_errors()
-            # Once a task has raised, results still land in their
-            # slots, but ``on_result`` no longer fires.
+            # Winding down, results still land but are not emitted.
             if drain_done() and failure is None:
                 emit_ready_prefix()
-            if stop:
-                break
             if failure is not None and not in_flight:
                 raise failure
             # A chunk that landed after the deadline check was in time.
@@ -522,6 +522,8 @@ def run_tasks(
             shutdown_pool()
             if failure is not None:
                 raise failure
+            if stop:
+                break  # cancelled: lost chunks are not re-run
             rebuilds += 1
             lost = list(in_flight)
             in_flight.clear()
@@ -549,6 +551,4 @@ def run_tasks(
         shutdown_pool()
         raise
 
-    if stop and in_flight:
-        shutdown_pool()  # cancellation: in-flight work dies with the pool
     return slots

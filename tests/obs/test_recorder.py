@@ -2,13 +2,9 @@
 guarantee — attaching a SimObserver changes no scheduler decision."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-import repro.obs.recorder as recorder
 from repro.consistency.history import History
-from repro.faults.campaign import run_campaign
 from repro.obs.recorder import SimObserver, estimate_message_bits
-from repro.parallel import CHUNK_ENV, JOBS_ENV, TASK_TIMEOUT_ENV
 from repro.registers.abd import build_abd_system
 from repro.registers.cas import build_cas_system
 from repro.sim.events import Message
@@ -21,56 +17,6 @@ def _observed(handle, num_ops, seed):
     observer = handle.world.obs = SimObserver()
     run_random_workload(handle, num_ops, seed=seed)
     return observer
-
-
-def _reference_message_bits(message) -> int:
-    """``estimate_message_bits`` as it was before its exact-type fast
-    path: the ``isinstance`` chain for every value."""
-    bits = 8 * len(message.kind)
-    for key, value in message.body:
-        bits += 8 * len(key)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            bits += 1
-        elif isinstance(value, int):
-            bits += max(1, value.bit_length())
-        elif isinstance(value, str):
-            bits += 8 * len(value)
-        elif isinstance(value, (tuple, list)):
-            for item in value:
-                if isinstance(item, int):
-                    bits += max(1, item.bit_length())
-                else:
-                    bits += 8 * len(repr(item))
-        else:
-            bits += 8 * len(repr(value))
-    return bits
-
-
-class _Int(int):
-    """An int subclass: not the exact type the fast path tests for."""
-
-
-class _Tuple(tuple):
-    """A tuple subclass, likewise."""
-
-
-_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.integers(min_value=-300, max_value=300).map(_Int),
-    st.text(max_size=6),
-    st.floats(),
-)
-_VALUES = st.one_of(
-    _SCALARS,
-    st.lists(_SCALARS, max_size=4),
-    st.lists(_SCALARS, max_size=4).map(tuple),
-    st.lists(_SCALARS, max_size=4).map(_Tuple),
-)
-_BODIES = st.lists(st.tuples(st.text(max_size=4), _VALUES), max_size=5).map(tuple)
 
 
 class TestEstimateMessageBits:
@@ -95,34 +41,6 @@ class TestEstimateMessageBits:
         one = estimate_message_bits(Message.make("m", v=(7,)))
         two = estimate_message_bits(Message.make("m", v=(7, 7)))
         assert two == one + 3  # one extra 3-bit int
-
-    @settings(max_examples=300, deadline=None)
-    @given(kind=st.text(max_size=8), body=_BODIES)
-    def test_matches_the_reference_on_generated_bodies(self, kind, body):
-        message = Message(kind, body)
-        assert estimate_message_bits(message) == _reference_message_bits(message)
-
-    def test_matches_the_reference_on_every_message_of_a_campaign_seed(
-        self, monkeypatch
-    ):
-        # The telemetry campaign seed of tests/perf/test_work_counters.py.
-        for name in (JOBS_ENV, CHUNK_ENV, TASK_TIMEOUT_ENV):
-            monkeypatch.delenv(name, raising=False)
-        sent = []
-
-        def spy(message):
-            sent.append(message)
-            return estimate_message_bits(message)
-
-        monkeypatch.setattr(recorder, "estimate_message_bits", spy)
-        run_campaign(
-            algorithms=("abd", "cas", "casgc"), n=5, f=1, value_bits=6,
-            seeds=[1], num_ops=10, jobs=1, cache=None, telemetry=True,
-        )
-        assert len(sent) > 1_000
-        assert [estimate_message_bits(m) for m in sent] == [
-            _reference_message_bits(m) for m in sent
-        ]
 
 
 class TestObserverOff:

@@ -5,14 +5,15 @@ Also the persistence contract (one pool per process, reused across
 (sandboxed semaphores fall back to in-process serial execution with
 identical output; a dead worker is replaced and its chunks re-run; a
 task error propagates without counting as a pool failure, and the pool
-is kept).  The timeout, retry, quarantine and cancellation contract is
-in ``test_supervisor.py``.
+is kept, as it is after a cancellation).  The timeout, retry,
+quarantine and cancellation contract is in ``test_supervisor.py``.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,27 +137,66 @@ def run_isolated(fn_name, payloads):
     return out["results"], out["stats"], proc.stderr
 
 
-_RAISING_BATCHES = """
-import json, os
-import repro.parallel.pool as pool_mod
-from tests.parallel import test_pool
-raised, workers = 0, set()
-for _ in range(30):
+def slow_square(x):
+    time.sleep(0.005)  # long enough to be in flight at a cancellation
+    return x * x
+
+
+def repeat_batches(cancel):
+    """Run 30 batches of 30 tasks at ``jobs=2``; print what they did.
+
+    Every task of a batch raises, or (``cancel``) ``on_result`` stops
+    the batch at its first result while other chunks are in flight.
+    Prints how many batches ended that way, after how many the pool
+    was still up, how many distinct worker sets served them, and
+    whether a child process is left after ``shutdown_pool()``, an
+    unreaped zombie included.
+    """
+    ended, kept, workers = 0, 0, set()
+    for _ in range(30):
+        if cancel:
+            seen = []
+            run_tasks(
+                slow_square, list(range(30)), jobs=2,
+                on_result=lambda index, result: seen.append(index) or True,
+            )
+            ended += seen == [0]
+        else:
+            try:
+                run_tasks(always_raises, list(range(30)), jobs=2)
+            except AttributeError:
+                ended += 1
+        if pool_mod._POOL is not None:
+            kept += 1
+            workers.add(pool_mod._worker_pids(pool_mod._POOL[0]))
+    shutdown_pool()
     try:
-        pool_mod.run_tasks(test_pool.always_raises, list(range(30)), jobs=2)
-    except AttributeError:
-        raised += 1
-    workers.add(pool_mod._worker_pids(pool_mod._POOL[0]))
-pool_mod.shutdown_pool()
-try:
-    os.waitpid(-1, os.WNOHANG)
-    children_left = True
-except ChildProcessError:
-    children_left = False
-print(json.dumps(
-    {"raised": raised, "pools": len(workers), "children_left": children_left}
-))
-"""
+        os.waitpid(-1, os.WNOHANG)
+        children_left = True
+    except ChildProcessError:
+        children_left = False
+    print(json.dumps({
+        "ended": ended, "kept": kept, "pools": len(workers),
+        "children_left": children_left,
+    }))
+
+
+def run_repeated_batches(cancel):
+    """:func:`repeat_batches` in a fresh interpreter, killed after 20 s."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "from tests.parallel import test_pool; "
+            f"test_pool.repeat_batches(cancel={cancel})",
+        ],
+        cwd=REPO,
+        env=_isolated_env(),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class _InProcessPool:
@@ -388,23 +428,19 @@ class TestDegradation:
         assert CALLS == []
 
     def test_raising_batches_never_hang_and_keep_the_pool(self):
-        # Tearing the pool down on a task error can deadlock in
-        # ``Pool.terminate()``, so a raising batch keeps its pool.  In a
-        # fresh interpreter, under a 20 s limit, 30 batches whose every
-        # task raises must each end in that exception, on one pool
-        # whose workers never changed; after a clean shutdown no child
-        # is left, not even an unreaped zombie.
-        proc = subprocess.run(
-            [sys.executable, "-c", _RAISING_BATCHES],
-            cwd=REPO,
-            env=_isolated_env(),
-            capture_output=True,
-            text=True,
-            timeout=20,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {
-            "raised": 30, "pools": 1, "children_left": False,
+        # Tearing the pool down with chunks in flight can deadlock in
+        # ``Pool.terminate()``, so a raising batch winds down and keeps
+        # its pool: 30 batches whose every task raises each end in that
+        # exception, on one pool whose workers never changed.
+        assert run_repeated_batches(cancel=False) == {
+            "ended": 30, "kept": 30, "pools": 1, "children_left": False,
+        }
+
+    def test_cancelled_batches_never_hang_and_keep_the_pool(self):
+        # The same for ``on_result`` cancelling with chunks in flight:
+        # each batch stops at its first result, on the one pool.
+        assert run_repeated_batches(cancel=True) == {
+            "ended": 30, "kept": 30, "pools": 1, "children_left": False,
         }
 
 

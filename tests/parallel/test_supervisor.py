@@ -263,8 +263,8 @@ class TestCancellation:
         )
         assert seen == [0, 1, 2]
         assert results[:3] == [0, 1, 4]
-        # In-flight work was cancelled with the pool: the batch must
-        # not have run to completion behind the stop signal.
+        # Nothing is dispatched behind the stop signal (the chunks in
+        # flight finish), so the batch did not run to completion.
         assert any(r is UNSET for r in results[3:])
         shutdown_pool()
 
