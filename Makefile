@@ -53,7 +53,7 @@ verify-proofs:
 	$(PYTHON) -m repro verify --theorem 65 --algorithm cas --n 5 --f 1 --nu 2
 
 # Exhaustive write||read model check (repro explore, N=3, f=1) of every
-# algorithm under the default 100,000-state budget, about 80 s on two
+# algorithm under the default 100,000-state budget, about 50 s on two
 # CPUs.  Fails unless each search is exhausted and finds every explored
 # execution atomic.  Not part of the test suite.
 explore-all:

@@ -65,10 +65,14 @@ def _measure_one(
         original(src, dst, message)
 
     world.enqueue_message = spying  # type: ignore[method-assign]
-    record = invoke()
-    world.run_op_to_completion(record)
-    world.deliver_all()
-    world.enqueue_message = original  # type: ignore[method-assign]
+    try:
+        record = invoke()
+        world.run_op_to_completion(record)
+        world.deliver_all()
+    finally:
+        # The spy refers to the World through ``original``: remove it,
+        # so the World is freed without the cyclic collector.
+        del world.enqueue_message
     value_bits = sum(message_value_bits(m, handle) for m in sent)
     kind = record.kind  # type: ignore[attr-defined]
     return CommunicationCost(

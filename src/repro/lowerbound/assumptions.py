@@ -91,8 +91,13 @@ def _record_write(builder: SystemBuilder, n: int, f: int, value_bits: int,
         original(src, dst, message)
 
     world.enqueue_message = spying_enqueue  # type: ignore[method-assign]
-    op = world.invoke_write(writer, value)
-    world.run_op_to_completion(op, max_steps=max_steps)
+    try:
+        op = world.invoke_write(writer, value)
+        world.run_op_to_completion(op, max_steps=max_steps)
+    finally:
+        # The spy refers to the World through ``original``: remove it,
+        # so the World is freed without the cyclic collector.
+        del world.enqueue_message
     return sends
 
 

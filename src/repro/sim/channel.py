@@ -5,51 +5,72 @@ first send.  The channel never drops or reorders messages; asynchrony
 comes entirely from the scheduler choosing *when* each delivery action
 runs.
 
-Channels participate in the World's incremental non-empty index: every
-mutation that crosses the empty/non-empty boundary fires the optional
-``notify`` callback, so ``World.enabled_channels`` never has to rescan
-all channels.  Standalone channels (no callback) behave exactly as
-before.
+Channels keep the World's incremental non-empty index themselves: a
+World's channel holds the World's sorted list of non-empty channel
+keys, and every mutation that crosses the empty/non-empty boundary
+inserts or deletes the channel's key there by ``bisect``, so
+``World.enabled_channels`` never has to rescan all channels.  The
+channel holds only the list, never the World, so a dropped World is
+freed by reference counting alone.  A standalone channel (no list) is
+a plain FIFO queue.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.sim.events import Message
 
-#: ``notify(channel, now_nonempty)`` fired on empty<->non-empty transitions.
-TransitionCallback = Callable[["Channel", bool], None]
+#: A World's sorted list of non-empty channel keys ``(src, dst)``.
+KeyIndex = List[Tuple[str, str]]
 
 
 class Channel:
-    """FIFO queue of messages from ``src`` to ``dst``."""
+    """FIFO queue of messages from ``src`` to ``dst``.
+
+    ``keys`` is the sorted non-empty index of the World that owns the
+    channel: the channel's key is in it exactly while the queue holds a
+    message.  ``None`` leaves the channel standalone.
+    """
 
     def __init__(
         self,
         src: str,
         dst: str,
-        notify: Optional[TransitionCallback] = None,
+        keys: Optional[KeyIndex] = None,
     ) -> None:
         self.src = src
         self.dst = dst
         self._queue: Deque[Message] = deque()
-        self._notify = notify
+        self._keys = keys
+
+    def _update_index(self, nonempty: bool) -> None:
+        """Insert or delete this channel's key in the index (idempotent)."""
+        key = (self.src, self.dst)
+        keys = self._keys
+        index = bisect_left(keys, key)
+        present = index < len(keys) and keys[index] == key
+        if nonempty:
+            if not present:
+                keys.insert(index, key)
+        elif present:
+            del keys[index]
 
     def enqueue(self, message: Message) -> None:
         """Append a message to the tail of the channel."""
         queue = self._queue
         queue.append(message)
-        if len(queue) == 1 and self._notify is not None:
-            self._notify(self, True)
+        if len(queue) == 1 and self._keys is not None:
+            self._update_index(True)
 
     def dequeue(self) -> Message:
         """Pop the head message (caller checks non-emptiness)."""
         queue = self._queue
         message = queue.popleft()
-        if not queue and self._notify is not None:
-            self._notify(self, False)
+        if not queue and self._keys is not None:
+            self._update_index(False)
         return message
 
     def dequeue_at(self, index: int) -> Message:
@@ -62,23 +83,24 @@ class Channel:
         queue = self._queue
         message = queue[index]
         del queue[index]
-        if not queue and self._notify is not None:
-            self._notify(self, False)
+        if not queue and self._keys is not None:
+            self._update_index(False)
         return message
 
     def peek(self) -> Optional[Message]:
         """Head message without removing it, or None if empty."""
         return self._queue[0] if self._queue else None
 
-    def clone(self, notify: Optional[TransitionCallback] = None) -> "Channel":
+    def clone(self, keys: Optional[KeyIndex] = None) -> "Channel":
         """Fast copy for copy-on-write World forks.
 
         Messages are immutable and shared; the queue itself is copied.
-        The clone is wired to the *caller's* transition callback (a
-        World writing a channel it shares with a fork twin passes its
-        own), never to the original's.
+        The clone holds the *caller's* key index (a World writing a
+        channel it shares with a fork twin passes its own), never the
+        original's.  It starts with the original's messages, which that
+        index already reflects.
         """
-        duplicate = Channel(self.src, self.dst, notify)
+        duplicate = Channel(self.src, self.dst, keys)
         duplicate._queue.extend(self._queue)
         return duplicate
 

@@ -6,10 +6,8 @@ deep-copyable because a World snapshot copies the full trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
-
-from repro.sim.clone import clone_state_value
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ class OperationRecord:
     value: Optional[int] = None  # written value, or value returned by a read
     invoke_step: int = 0
     response_step: Optional[int] = None
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def is_complete(self) -> bool:
@@ -92,15 +89,14 @@ class OperationRecord:
         return self.response_step is not None
 
     def clone(self) -> "OperationRecord":
-        """Independent copy for World forks (``meta`` holds plain data)."""
+        """Independent copy for World forks."""
         return OperationRecord(
-            op_id=self.op_id,
-            client=self.client,
-            kind=self.kind,
-            value=self.value,
-            invoke_step=self.invoke_step,
-            response_step=self.response_step,
-            meta=clone_state_value(self.meta),
+            self.op_id,
+            self.client,
+            self.kind,
+            self.value,
+            self.invoke_step,
+            self.response_step,
         )
 
     def overlaps(self, other: "OperationRecord") -> bool:

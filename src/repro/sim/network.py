@@ -30,16 +30,21 @@ what it changes:
   mutated in place), and clones only the small eager parts (operation
   records, scheduler, adversary).
 * ``enabled_channels()`` reads an always-sorted list of non-empty
-  channel keys, kept in place by ``bisect`` inserts and deletes in the
-  channel transition callback on enqueue/dequeue, instead of
-  rescanning or re-sorting anything per step.  The adversary's
-  partition gate is consulted only while a partition is active, once
-  per call for the whole key list.  The scheduler sees exactly the
-  same sorted key list as before, so schedules are byte-identical.
+  channel keys.  Each channel this World owns holds that list (not
+  the World) and keeps its own key in it by ``bisect`` inserts and
+  deletes on enqueue/dequeue, so nothing is rescanned or re-sorted
+  per step.  The adversary's partition gate is consulted only while a
+  partition is active, once per call for the whole key list.  The
+  scheduler sees exactly the same sorted key list as before, so
+  schedules are byte-identical.
 * The state digest (:meth:`process_digests`,
   :meth:`channel_digests`) walks that non-empty index, and reuses the
-  digest of every process this World does not own: nobody can write
-  such an object again.
+  digest of every process and channel this World does not own: nobody
+  can write such an object again.
+* Nothing here makes a reference cycle: no object a World holds
+  refers back to the World, so a World dropped by the explorer or a
+  campaign is freed at once by reference counting, and the cyclic
+  collector finds nothing to do.
 * ``servers()``/``clients()`` and ``pending_operations()`` are served
   from caches invalidated at the (single) mutation points.
 * The World keeps no counters for its observer.  An attached
@@ -54,7 +59,6 @@ what it changes:
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left
 from types import MappingProxyType
 from typing import (
     Callable,
@@ -99,17 +103,19 @@ class World:
         #: created them and no fork shares them.  Every other object is
         #: shared with a twin and cloned on first write (see :meth:`fork`).
         self._owned: set = set()
-        #: pid -> (process, digest entry) for processes no World owns,
-        #: shared between a World and its forks (see :meth:`process_digests`).
-        self._digest_memo: Dict[str, tuple] = {}
+        #: pid or channel key -> (object, digest entry) for processes and
+        #: channels no World owns, shared between a World and its forks
+        #: (see :meth:`process_digests` and :meth:`channel_digests`).
+        self._digest_memo: Dict[object, tuple] = {}
         self.scheduler: Scheduler = scheduler or RoundRobinScheduler()
         self.step_count = 0
         self.trace: List[ActionRecord] = []
         self.operations: List[OperationRecord] = []
         self._next_op_id = 0
         self.record_trace = True
-        #: Keys of channels currently holding messages, always sorted:
-        #: :meth:`_channel_transition` inserts and deletes in place.
+        #: Keys of channels currently holding messages, always sorted.
+        #: Every channel this World owns holds this list and inserts or
+        #: deletes its own key in place, so it is never replaced.
         self._nonempty: List[ChannelKey] = []
         #: Sorted pids, all and by role (invalidated by :meth:`add_process`).
         self._pids: Optional[List[str]] = None
@@ -197,32 +203,17 @@ class World:
         if key in self._owned:
             return channels[key]
         shared = channels.get(key)
+        # The channel holds this World's non-empty index, so the index
+        # stays correct even when code enqueues on the channel directly.
         if shared is not None:
-            channel = shared.clone(self._channel_transition)
+            channel = shared.clone(self._nonempty)
         elif src in self._processes and dst in self._processes:
-            channel = Channel(src, dst, self._channel_transition)
+            channel = Channel(src, dst, self._nonempty)
         else:
             raise UnknownProcessError(f"channel endpoints {key} unknown")
         channels[key] = channel
         self._owned.add(key)
         return channel
-
-    def _channel_transition(self, channel: Channel, nonempty: bool) -> None:
-        """Channel callback: keep the non-empty index in sync.
-
-        Fired by :class:`Channel` whenever its queue crosses the
-        empty/non-empty boundary, so the index stays correct even when
-        tests enqueue on a channel object directly.
-        """
-        key = (channel.src, channel.dst)
-        keys = self._nonempty
-        index = bisect_left(keys, key)
-        present = index < len(keys) and keys[index] == key
-        if nonempty:
-            if not present:
-                keys.insert(index, key)
-        elif present:
-            del keys[index]
 
     # -- message plumbing (called by ProcessContext) --------------------------
 
@@ -564,13 +555,30 @@ class World:
         """``(key, contents)`` per non-empty channel, in key order.
 
         Channels with an endpoint named in ``exclude`` are left out.
+        Like :meth:`process_digests`, a channel this World owns is
+        digested afresh, and the entry of one it does not own is
+        memoised by object identity in the memo shared with its forks
+        (every write clones such a channel first).
         """
         channels = self._channels
-        return tuple(
-            (key, channels[key].state_digest())
-            for key in self._nonempty
-            if key[0] not in exclude and key[1] not in exclude
-        )
+        owned = self._owned
+        memo = self._digest_memo
+        entries = []
+        for key in self._nonempty:
+            if key[0] in exclude or key[1] in exclude:
+                continue
+            channel = channels[key]
+            if key in owned:
+                entries.append((key, channel.state_digest()))
+                continue
+            hit = memo.get(key)
+            if hit is not None and hit[0] is channel:
+                entries.append(hit[1])
+            else:
+                entry = (key, channel.state_digest())
+                memo[key] = (channel, entry)
+                entries.append(entry)
+        return tuple(entries)
 
     def fork(self) -> "World":
         """Copy the World at the current point, copy-on-write.
@@ -587,6 +595,12 @@ class World:
         from and pushes to.
         Immutable values — messages, tags, action records, codes — are
         shared as before.
+
+        Each twin has its own sorted channel index, and every channel a
+        twin clones or creates holds that twin's index (a shared channel
+        still holds the index of the World that made it, and is never
+        written again).  No object refers back to a World, so a dropped
+        twin is freed at once by reference counting.
 
         A reference obtained from :meth:`process` or :meth:`channel`
         before a fork must be re-fetched after it: the old object now
@@ -621,8 +635,9 @@ class World:
         self._owned.clear()
         clone._owned = set()
         clone._digest_memo = self._digest_memo
-        # The channel index is mutated in place, so each twin gets its
-        # own copy.  The pid lists are replaced, never mutated in place:
+        # The channel index is mutated in place by the channels that
+        # hold it, so each twin gets its own copy (and never replaces
+        # it).  The pid lists are replaced, never mutated in place:
         # share them.
         clone._nonempty = list(self._nonempty)
         clone._pids = self._pids
@@ -643,7 +658,10 @@ class World:
 
     def __getstate__(self) -> dict:
         # Mapping views do not pickle, and the digest memo holds other
-        # Worlds' processes; both are rebuilt by ``__setstate__``.
+        # Worlds' processes and channels; both are rebuilt by
+        # ``__setstate__``.  Pickle keeps the identity of ``_nonempty``
+        # and the list each owned channel holds, so the channels a copy
+        # owns hold the copy's own index.
         state = self.__dict__.copy()
         del state["processes"], state["channels"]
         state["_digest_memo"] = {}

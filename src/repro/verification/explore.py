@@ -110,6 +110,10 @@ class ExplorationBudgetExceeded(ReproError):
     """Raised internally when ``max_states`` is hit (caught by driver)."""
 
 
+class _FoundViolation(Exception):
+    """Raised internally at the first violation when stopping there."""
+
+
 @dataclass
 class ExplorationResult:
     """Outcome of an exhaustive schedule exploration."""
@@ -137,8 +141,9 @@ class ExplorationResult:
     ) -> Optional[Tuple[Tuple[ChannelKey, ...], list]]:
         """The first violating ``(delivery schedule, history)``, if any.
 
-        The schedule is exactly what :func:`replay_schedule` consumes
-        and what a ``repro.bundle/1`` explore artifact records (see
+        The schedule is exactly what :meth:`ScheduleExplorer.replay`
+        (or, without follow-ups, :func:`replay_schedule`) consumes and
+        what a ``repro.bundle/1`` explore artifact records (see
         :func:`repro.triage.bundle.bundle_from_exploration`); DFS order
         is deterministic, so "first" is stable across runs.
         """
@@ -183,7 +188,9 @@ class ScheduleExplorer:
     new/old inversion needs): each entry ``(trigger_op_id, invoke)``
     calls ``invoke(world)`` deterministically as soon as the trigger
     operation has completed — invocation timing adds no branching, only
-    delivery order does.
+    delivery order does.  A reported schedule therefore lists
+    deliveries only, and :meth:`replay` re-runs it with the same
+    follow-ups.
 
     ``stop_at_first_violation`` turns the explorer into a
     counterexample finder: DFS returns as soon as one violating
@@ -227,95 +234,125 @@ class ScheduleExplorer:
         result = ExplorationResult(
             states_visited=0, executions_checked=0, exhausted=True
         )
-        #: key -> intersection of the sleep sets it was explored with.
-        visited: Dict[tuple, set] = {}
-
         # Tracing costs memory per fork and the schedule path already
         # identifies executions; turn it off for the search.
         world = world.fork()
         world.record_trace = False
-        base_ops = len(world.operations)
+        try:
+            _Search(self, world, result).visit(world, (), _EMPTY_SLEEP)
+        except (ExplorationBudgetExceeded, _FoundViolation):
+            result.exhausted = False
+        return result
 
-        por_active = self.por and world.adversary is None
-        client_pids = frozenset(
+    def replay(
+        self, build_and_invoke: Callable[[], World], path: Sequence[ChannelKey]
+    ) -> World:
+        """Re-execute a delivery schedule the way :meth:`explore` ran it.
+
+        ``build_and_invoke`` builds the World :meth:`explore` started
+        from; ``path`` is a schedule it reported.  Follow-ups fire by
+        the explorer's rule, before the first delivery and after each
+        one, so a counterexample that needed one replays in full.
+        """
+        world = build_and_invoke()
+        base_ops = len(world.operations)
+        self._fire_followups(world, base_ops)
+        for src, dst in path:
+            world.deliver(src, dst)
+            self._fire_followups(world, base_ops)
+        return world
+
+
+class _Search:
+    """The depth-first search of one :meth:`ScheduleExplorer.explore` call.
+
+    An object with a recursive method, not a closure that calls itself:
+    that closure (like an exception class defined per call) is a
+    reference cycle, which would leave the visited set and the last
+    World to the cyclic collector instead of freeing them on return.
+    """
+
+    def __init__(
+        self, explorer: ScheduleExplorer, world: World, result: ExplorationResult
+    ) -> None:
+        self.explorer = explorer
+        self.result = result
+        #: key -> intersection of the sleep sets it was explored with.
+        self.visited: Dict[tuple, frozenset] = {}
+        self.base_ops = len(world.operations)
+        self.por_active = explorer.por and world.adversary is None
+        self.client_pids = frozenset(
             pid
             for pid, process in world.processes.items()
             if isinstance(process, ClientProcess)
         )
 
-        def independent(a: ChannelKey, b: ChannelKey) -> bool:
-            # Commute iff the receivers are distinct servers (see the
-            # module docstring for the soundness argument).
-            return (
-                a[1] != b[1]
-                and a[1] not in client_pids
-                and b[1] not in client_pids
-            )
+    def independent(self, a: ChannelKey, b: ChannelKey) -> bool:
+        # Commute iff the receivers are distinct servers (see the
+        # module docstring for the soundness argument).
+        client_pids = self.client_pids
+        return (
+            a[1] != b[1]
+            and a[1] not in client_pids
+            and b[1] not in client_pids
+        )
 
-        class _FoundViolation(Exception):
-            pass
+    def visit(
+        self, state: World, path: Tuple[ChannelKey, ...], sleep: frozenset
+    ) -> None:
+        explorer = self.explorer
+        result = self.result
+        visited = self.visited
+        explorer._fire_followups(state, self.base_ops)
+        key = _state_key(state)
+        enabled = state.enabled_channels()
+        stored = visited.get(key)
+        if stored is None:
+            # Sleep sets are frozen: store the set itself, not a copy.
+            visited[key] = sleep
+            to_explore = [a for a in enabled if a not in sleep]
+            # Actions already covered act as explored siblings.
+            covered = set(sleep)
+        else:
+            if stored <= sleep:
+                return  # an earlier visit explored a superset
+            woken = stored - sleep
+            visited[key] = stored & sleep
+            to_explore = [a for a in enabled if a in woken]
+            covered = set(sleep)
+            covered.update(a for a in enabled if a not in woken)
+        result.states_visited += 1
+        if result.states_visited > explorer.max_states:
+            raise ExplorationBudgetExceeded()
+        if len(path) > MAX_DEPTH:
+            raise ExplorationBudgetExceeded()
 
-        def visit(
-            state: World, path: Tuple[ChannelKey, ...], sleep: frozenset
-        ) -> None:
-            self._fire_followups(state, base_ops)
-            key = _state_key(state)
-            enabled = state.enabled_channels()
-            stored = visited.get(key)
-            if stored is None:
-                visited[key] = set(sleep)
-                to_explore = [a for a in enabled if a not in sleep]
-                # Actions already covered act as explored siblings.
-                covered = set(sleep)
+        if not enabled:
+            result.executions_checked += 1
+            if state.pending_operations():
+                result.incomplete_terminals += 1
+            if not explorer.checker(list(state.operations)):
+                result.violations.append((path, list(state.operations)))
+                if explorer.stop_at_first_violation:
+                    raise _FoundViolation()
+            return
+        por_active = self.por_active
+        last = len(to_explore) - 1
+        for index, key_choice in enumerate(to_explore):
+            # The parent state is dead after its final branch, so the
+            # last child mutates it in place instead of forking — on
+            # non-branching chains this eliminates forking entirely.
+            child = state if index == last else state.fork()
+            child.deliver(*key_choice)
+            if por_active:
+                child_sleep = frozenset(
+                    a for a in covered if self.independent(a, key_choice)
+                )
             else:
-                if stored <= sleep:
-                    return  # an earlier visit explored a superset
-                woken = stored - sleep
-                stored &= sleep
-                to_explore = [a for a in enabled if a in woken]
-                covered = set(sleep)
-                covered.update(a for a in enabled if a not in woken)
-            result.states_visited += 1
-            if result.states_visited > self.max_states:
-                raise ExplorationBudgetExceeded()
-            if len(path) > MAX_DEPTH:
-                raise ExplorationBudgetExceeded()
-
-            if not enabled:
-                result.executions_checked += 1
-                if state.pending_operations():
-                    result.incomplete_terminals += 1
-                if not self.checker(list(state.operations)):
-                    result.violations.append(
-                        (path, list(state.operations))
-                    )
-                    if self.stop_at_first_violation:
-                        raise _FoundViolation()
-                return
-            last = len(to_explore) - 1
-            for index, key_choice in enumerate(to_explore):
-                # The parent state is dead after its final branch, so the
-                # last child mutates it in place instead of forking — on
-                # non-branching chains this eliminates forking entirely.
-                child = state if index == last else state.fork()
-                child.deliver(*key_choice)
-                if por_active:
-                    child_sleep = frozenset(
-                        a for a in covered if independent(a, key_choice)
-                    )
-                else:
-                    child_sleep = _EMPTY_SLEEP
-                visit(child, path + (key_choice,), child_sleep)
-                if por_active:
-                    covered.add(key_choice)
-
-        try:
-            visit(world, (), _EMPTY_SLEEP)
-        except ExplorationBudgetExceeded:
-            result.exhausted = False
-        except _FoundViolation:
-            result.exhausted = False
-        return result
+                child_sleep = _EMPTY_SLEEP
+            self.visit(child, path + (key_choice,), child_sleep)
+            if por_active:
+                covered.add(key_choice)
 
 
 def explore_all_schedules(
@@ -337,8 +374,9 @@ def explore_all_schedules(
 def replay_schedule(
     build_and_invoke: Callable[[], World], path: Sequence[ChannelKey]
 ) -> World:
-    """Re-execute a violating schedule for debugging."""
-    world = build_and_invoke()
-    for src, dst in path:
-        world.deliver(src, dst)
-    return world
+    """Re-execute a violating schedule for debugging.
+
+    A schedule found with follow-ups replays through
+    :meth:`ScheduleExplorer.replay` on an explorer holding them.
+    """
+    return ScheduleExplorer().replay(build_and_invoke, path)

@@ -16,7 +16,9 @@ every write accessor (``process``, ``channel``, ``crash``, ``recover``,
 """
 
 import copy
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -317,3 +319,36 @@ def test_mutation_of_a_never_forked_world_is_seen():
     world_digest(world)
     server.value = 9
     assert world_digest(world) != first
+
+
+def test_channel_mutation_after_a_cached_digest_is_seen():
+    """The digest memo must never serve a channel that can still change."""
+    handle, world = _abd_mid_write()
+    key = world.enabled_channels()[0]
+    fork = world.fork()
+    world_digest(fork)  # every channel is shared: memoised
+    parent_before = world_digest(world)
+    fork_before = world_digest(fork)
+    channel = fork.channel(*key)  # now the fork's own
+    channel.enqueue(Message.make("get", ref=("x", 1)))
+    fork_after = world_digest(fork)
+    assert fork_after != fork_before
+    channel.dequeue()  # the owned channel changes again, in place
+    assert world_digest(fork) not in (fork_before, fork_after)
+    assert world_digest(world) == parent_before
+
+
+def test_a_dropped_fork_is_freed_without_the_collector():
+    handle, world = _abd_mid_write()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fork = world.fork()
+        fork.step()
+        fork.step()
+        alive = weakref.ref(fork)
+        del fork
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -165,26 +165,30 @@ class TestCounterexampleHunt:
         result = explorer.explore(inversion_prefix_world())
         path, ops = result.violations[0]
 
-        def rebuild():
-            world = inversion_prefix_world()
-            world.record_trace = False
-            # replay fires followups the way the explorer did
-            for src, dst in path:
-                ScheduleExplorer(
-                    followups=INVERSION_FOLLOWUPS
-                )._fire_followups(world, 3)
-                world.deliver(src, dst)
-            ScheduleExplorer(
-                followups=INVERSION_FOLLOWUPS
-            )._fire_followups(world, 3)
-            return world
-
-        replayed = rebuild()
+        # The explorer's replay fires the follow-up read as explore did.
+        replayed = explorer.replay(inversion_prefix_world, path)
         replay_reads = [
             op for op in replayed.operations if op.kind == "read"
         ]
         assert [r.value for r in replay_reads] == [2, 1]
         assert not check_atomicity(replayed.operations).ok
+        assert [
+            (op.op_id, op.kind, op.value, op.is_complete)
+            for op in replayed.operations
+        ] == [(op.op_id, op.kind, op.value, op.is_complete) for op in ops]
+
+    def test_every_terminal_schedule_replays(self):
+        """Without follow-ups, ``replay_schedule`` rebuilds each
+        terminal state the explorer reported."""
+        explorer = ScheduleExplorer(checker=lambda ops: False)
+        result = explorer.explore(swmr_write_read_world())
+        assert result.exhausted and len(result.violations) == 18
+        for path, ops in result.violations:
+            replayed = replay_schedule(swmr_write_read_world, path)
+            assert not replayed.enabled_channels()
+            assert [
+                (op.kind, op.value, op.is_complete) for op in replayed.operations
+            ] == [(op.kind, op.value, op.is_complete) for op in ops]
 
 
 class TestBudgets:
