@@ -53,15 +53,18 @@ verify-proofs:
 	$(PYTHON) -m repro verify --theorem 65 --algorithm cas --n 5 --f 1 --nu 2
 
 # Exhaustive write||read model check (repro explore, N=3, f=1) of every
-# algorithm under the default 100,000-state budget, about 50 s on two
-# CPUs.  Fails unless each search is exhausted and finds every explored
-# execution atomic.  Not part of the test suite.
+# algorithm under the default 100,000-state budget, about 65 s on two
+# CPUs.  Fails unless each search is exhausted, visits exactly the
+# pinned number of states (a state key that merges or splits states
+# fails it) and finds every explored execution atomic.  Not part of
+# the test suite.
 explore-all:
-	@for a in swmr-abd coded-swmr abd cas casgc; do \
+	@for pinned in swmr-abd:2243 coded-swmr:2555 abd:40255 cas:87102 casgc:87102; do \
+		a=$${pinned%%:*}; states=$${pinned#*:}; \
 		out=$$($(PYTHON) -m repro explore --algorithm $$a) || { echo "$$out"; exit 1; }; \
 		echo "$$out"; \
-		case "$$out" in *exhausted=True*"atomic in every explored execution"*) ;; \
-			*) echo "explore-all: $$a not exhausted or not atomic"; exit 1;; \
+		case "$$out" in *": $$states states, "*"exhausted=True"*"atomic in every explored execution"*) ;; \
+			*) echo "explore-all: $$a: expected exhausted=True at $$states states, all atomic"; exit 1;; \
 		esac; \
 	done
 

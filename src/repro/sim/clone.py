@@ -4,10 +4,11 @@
 every object reflectively, consults the memo dictionary per node, and
 re-copies values that are immutable by construction (messages, tags,
 action records, codes).  Forking dominates valency probing and
-exhaustive exploration.  Forks now share processes and channels and
-clone one only when a twin first writes it (``World.process`` and
-``World.channel``); this module is the explicit *clone protocol* that
-copy uses, instead of deepcopy:
+exhaustive exploration.  Forks now share processes, channels, the
+scheduler and completed operation records, and clone a process,
+channel or scheduler only when a twin first writes it
+(``World.process``, ``World.channel``, ``World.step``); this module is
+the explicit *clone protocol* that copy uses, instead of deepcopy:
 
 * :func:`clone_state_value` — a recursive copier specialised for the
   plain-data state the simulator allows (scalars, strings, tuples,
@@ -20,7 +21,11 @@ copy uses, instead of deepcopy:
   like ``ReedSolomonCode``);
 * anything unrecognised falls back to ``copy.deepcopy`` (or an
   object-level ``clone()`` method when it defines one), so correctness
-  never depends on the fast path recognising a type.
+  never depends on the fast path recognising a type;
+* :func:`clone_instance_state` copies an instance's ``__dict__`` in one
+  call and sends only the attributes that are neither atomic nor
+  share-safe through :func:`clone_state_value` (a process's ids, flags,
+  counters and tags are shared as they are).
 
 The equivalence contract — a fast fork and a ``deepcopy`` fork of the
 same World are observably identical (equal ``world_digest``) and stay
@@ -38,6 +43,9 @@ from typing import Any
 _ATOMIC_TYPES = frozenset(
     {type(None), bool, int, float, complex, str, bytes, frozenset, type(Ellipsis)}
 )
+
+#: The builtin containers :func:`clone_state_value` rebuilds.
+_CONTAINER_TYPES = frozenset({tuple, list, dict, set, deque})
 
 
 def clone_state_value(value: Any) -> Any:
@@ -82,12 +90,22 @@ def clone_instance_state(obj: Any) -> Any:
     """Allocate a new instance of ``type(obj)`` with cloned ``__dict__``.
 
     The default implementation behind ``Process.clone()`` (and any
-    other plain-state component): skips ``__init__`` entirely and
-    copies each attribute through :func:`clone_state_value`.
+    other plain-state component): skips ``__init__`` entirely, copies
+    ``__dict__`` in one call, and re-clones through
+    :func:`clone_state_value` only the attributes that are neither
+    atomic nor ``__clone_shared__`` (most of a process's attributes
+    are ids, flags and counters, which the copy already shares).
     """
     cls = type(obj)
     duplicate = cls.__new__(cls)
-    target = duplicate.__dict__
-    for key, item in obj.__dict__.items():
-        target[key] = clone_state_value(item)
+    state = obj.__dict__.copy()
+    for key, item in state.items():
+        kind = item.__class__
+        if kind in _ATOMIC_TYPES:
+            continue
+        # Builtin containers never carry the marker: skip the (failing,
+        # and so slow) attribute lookup for them.
+        if kind in _CONTAINER_TYPES or not getattr(kind, "__clone_shared__", False):
+            state[key] = clone_state_value(item)
+    duplicate.__dict__ = state
     return duplicate

@@ -74,6 +74,11 @@ class OperationRecord:
     ``invoke_step``/``response_step`` are the action indices of the
     invocation and completion; ``response_step`` is None while the
     operation is pending (or if it never completes — a failed client).
+
+    Only ``World.invoke_*`` and ``World.complete_operation`` write a
+    record, and the latter refuses a completed one, so a completed
+    record never changes again: World forks share it, and clone only
+    pending records.
     """
 
     op_id: int
@@ -89,7 +94,7 @@ class OperationRecord:
         return self.response_step is not None
 
     def clone(self) -> "OperationRecord":
-        """Independent copy for World forks."""
+        """Independent copy of a pending record for a World fork."""
         return OperationRecord(
             self.op_id,
             self.client,

@@ -25,10 +25,11 @@ what it changes:
   objects; each World records which of them it *owns*, and the write
   accessors :meth:`process` and :meth:`channel` clone a shared object
   (through the explicit clone protocol: ``Process.clone``,
-  ``Channel.clone``) the first time this World writes it.  ``fork()``
-  itself copies two dicts and the channel index below (the one list
-  mutated in place), and clones only the small eager parts (operation
-  records, scheduler, adversary).
+  ``Channel.clone``) the first time this World writes it.  The
+  scheduler is shared the same way and cloned by :meth:`step` before
+  its first selection.  ``fork()`` itself copies two dicts and the
+  channel index below (the one list mutated in place), and clones only
+  the pending operation records and the adversary.
 * ``enabled_channels()`` reads an always-sorted list of non-empty
   channel keys.  Each channel this World owns holds that list (not
   the World) and keeps its own key in it by ``bisect`` inserts and
@@ -38,9 +39,12 @@ what it changes:
   scheduler sees exactly the same sorted key list as before, so
   schedules are byte-identical.
 * The state digest (:meth:`process_digests`,
-  :meth:`channel_digests`) walks that non-empty index, and reuses the
-  digest of every process and channel this World does not own: nobody
-  can write such an object again.
+  :meth:`channel_digests`, :meth:`config_ids`) walks that non-empty
+  index.  Each digest entry is interned to a small int id in a table
+  shared by a World and its forks, and the id of every process and
+  channel this World does not own is memoised by object identity:
+  nobody can write such an object again, so it costs one identity
+  test and no hashing.
 * Nothing here makes a reference cycle: no object a World holds
   refers back to the World, so a World dropped by the explorer or a
   campaign is freed at once by reference counting, and the cyclic
@@ -89,6 +93,26 @@ from repro.sim.scheduler import (
 )
 
 
+class InternTable(dict):
+    """Digest entry -> small int id, with the entries in id order.
+
+    Ids are handed out in order of first sight, so two entries get
+    equal ids iff they are equal: no hashing away, no collisions.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entries: List[tuple] = []
+
+    def intern(self, entry: tuple) -> int:
+        """The id of ``entry``, assigning the next one if it is new."""
+        ident = self.get(entry)
+        if ident is None:
+            ident = self[entry] = len(self.entries)
+            self.entries.append(entry)
+        return ident
+
+
 class World:
     """A complete simulated system at some point of some execution."""
 
@@ -103,11 +127,17 @@ class World:
         #: created them and no fork shares them.  Every other object is
         #: shared with a twin and cloned on first write (see :meth:`fork`).
         self._owned: set = set()
-        #: pid or channel key -> (object, digest entry) for processes and
-        #: channels no World owns, shared between a World and its forks
-        #: (see :meth:`process_digests` and :meth:`channel_digests`).
+        #: Digest entries and their ids, shared between a World and its
+        #: forks (see :meth:`config_ids`).
+        self._interned = InternTable()
+        #: pid or channel key -> (object, interned id of its digest
+        #: entry) for processes and channels no World owns, shared
+        #: between a World and its forks like the intern table.
         self._digest_memo: Dict[object, tuple] = {}
+        #: Re-fetch after a fork: twins share the scheduler until one
+        #: of them steps (see :meth:`step`).
         self.scheduler: Scheduler = scheduler or RoundRobinScheduler()
+        self._owns_scheduler = True
         self.step_count = 0
         self.trace: List[ActionRecord] = []
         self.operations: List[OperationRecord] = []
@@ -347,6 +377,10 @@ class World:
         enabled = self.enabled_channels(channel_filter)
         if not enabled:
             return None
+        if not self._owns_scheduler:
+            # Selecting advances the scheduler; a fork twin shares it.
+            self.scheduler = self.scheduler.clone()
+            self._owns_scheduler = True
         src, dst = self.scheduler.select(self, enabled)
         return self.deliver(src, dst)
 
@@ -525,60 +559,81 @@ class World:
     def process_digests(self, exclude: Collection[str] = ()) -> Tuple[tuple, ...]:
         """``(pid, failed, state_digest())`` per process, in pid order.
 
-        Processes named in ``exclude`` are left out.  A process this
-        World owns may still be written, so it is digested afresh.  One
-        it does not own is shared with a fork twin and nobody can write
-        it again (writes clone it first), so its entry is memoised by
-        object identity in a memo shared with this World's forks.
+        Processes named in ``exclude`` are left out.  The entries are
+        read back through their interned ids (:meth:`config_ids`).
         """
-        processes = self._processes
-        owned = self._owned
-        memo = self._digest_memo
-        entries = []
-        for pid in self._sorted_pids():
-            if pid in exclude:
-                continue
-            process = processes[pid]
-            if pid in owned:
-                entries.append((pid, process.failed, process.state_digest()))
-                continue
-            hit = memo.get(pid)
-            if hit is not None and hit[0] is process:
-                entries.append(hit[1])
-            else:
-                entry = (pid, process.failed, process.state_digest())
-                memo[pid] = (process, entry)
-                entries.append(entry)
-        return tuple(entries)
+        ids, count = self._digest_ids(exclude)
+        entries = self._interned.entries
+        return tuple([entries[ident] for ident in ids[:count]])
 
     def channel_digests(self, exclude: Collection[str] = ()) -> Tuple[tuple, ...]:
         """``(key, contents)`` per non-empty channel, in key order.
 
         Channels with an endpoint named in ``exclude`` are left out.
-        Like :meth:`process_digests`, a channel this World owns is
-        digested afresh, and the entry of one it does not own is
-        memoised by object identity in the memo shared with its forks
-        (every write clones such a channel first).
+        Like :meth:`process_digests`, read back through interned ids.
         """
-        channels = self._channels
+        ids, count = self._digest_ids(exclude)
+        entries = self._interned.entries
+        return tuple([entries[ident] for ident in ids[count:]])
+
+    def config_ids(self) -> Tuple[int, ...]:
+        """The entries of :meth:`process_digests`, then those of
+        :meth:`channel_digests`, as interned ids: a flat tuple of ints.
+
+        Interning is exact: two ids are equal iff their entries are, and
+        a process entry never equals a channel entry, so two Worlds of
+        one family (a World and its forks, which share the table) have
+        equal ids iff they have equal digests.  Ids from Worlds that do
+        not share a table are not comparable; a pickled or deep copy
+        starts a table of its own.
+        """
+        return tuple(self._digest_ids(())[0])
+
+    def _digest_ids(self, exclude: Collection[str]) -> Tuple[List[int], int]:
+        """Interned ids of the process entries in pid order, then of the
+        non-empty channel entries in key order, and the number of
+        process ids.
+
+        A process or channel this World owns may still be written, so
+        it is digested and interned afresh.  One it does not own is
+        shared with a fork twin and nobody can write it again (writes
+        clone it first), so its id is memoised by object identity.
+        """
+        pids = self._sorted_pids()
+        keys = self._nonempty
+        if exclude:
+            pids = [pid for pid in pids if pid not in exclude]
+            keys = [
+                key for key in keys
+                if key[0] not in exclude and key[1] not in exclude
+            ]
         owned = self._owned
         memo = self._digest_memo
-        entries = []
-        for key in self._nonempty:
-            if key[0] in exclude or key[1] in exclude:
+        intern = self._interned.intern
+        ids = []
+        processes = self._processes
+        for pid in pids:
+            process = processes[pid]
+            if pid in owned:
+                ids.append(intern((pid, process.failed, process.state_digest())))
                 continue
+            hit = memo.get(pid)
+            if hit is None or hit[0] is not process:
+                entry = (pid, process.failed, process.state_digest())
+                hit = memo[pid] = (process, intern(entry))
+            ids.append(hit[1])
+        process_count = len(ids)
+        channels = self._channels
+        for key in keys:
             channel = channels[key]
             if key in owned:
-                entries.append((key, channel.state_digest()))
+                ids.append(intern((key, channel.state_digest())))
                 continue
             hit = memo.get(key)
-            if hit is not None and hit[0] is channel:
-                entries.append(hit[1])
-            else:
-                entry = (key, channel.state_digest())
-                memo[key] = (channel, entry)
-                entries.append(entry)
-        return tuple(entries)
+            if hit is None or hit[0] is not channel:
+                hit = memo[key] = (channel, intern((key, channel.state_digest())))
+            ids.append(hit[1])
+        return ids, process_count
 
     def fork(self) -> "World":
         """Copy the World at the current point, copy-on-write.
@@ -588,11 +643,16 @@ class World:
         :meth:`process` or :meth:`channel` (and so every ``deliver``,
         ``enqueue_message``, ``invoke_*``, ``crash`` and ``recover``)
         clones the object into the writing World, so stepping one twin
-        never affects the other.  A fork therefore costs two dict
-        copies, a copy of the sorted channel index and the eager clones
-        of the operation records, the scheduler and the adversary; a
-        later delivery clones only its receiver and the channels it pops
-        from and pushes to.
+        never affects the other.  The scheduler is shared the same way:
+        :meth:`step` clones it before its first selection, and a World
+        that is only delivered to (the explorer's) never clones it.
+        Completed operation records are shared too (nothing writes a
+        completed record); pending ones are cloned for the new World,
+        so a record ``invoke_*`` returned still belongs to the parent.
+        A fork therefore costs two dict copies, a copy of the sorted
+        channel index, the clones of the pending records and of the
+        adversary; a later delivery clones only its receiver and the
+        channels it pops from and pushes to.
         Immutable values — messages, tags, action records, codes — are
         shared as before.
 
@@ -600,21 +660,30 @@ class World:
         twin clones or creates holds that twin's index (a shared channel
         still holds the index of the World that made it, and is never
         written again).  No object refers back to a World, so a dropped
-        twin is freed at once by reference counting.
+        twin is freed at once by reference counting.  The digest memo
+        and the intern table are shared, so the ids of
+        :meth:`config_ids` compare across a World and its forks.
 
-        A reference obtained from :meth:`process` or :meth:`channel`
-        before a fork must be re-fetched after it: the old object now
-        belongs to both twins' past, and writing it would show in both.
+        A reference obtained from :meth:`process`, :meth:`channel` or
+        :attr:`scheduler` before a fork must be re-fetched after it: the
+        old object now belongs to both twins' past, and writing it would
+        show in both.
 
         ``copy.deepcopy(world)`` is the reference implementation; the
         property tests in ``tests/sim/test_fast_fork.py`` assert both
         produce observably identical, causally independent Worlds.
         """
         clone = World.__new__(World)
-        clone.scheduler = self.scheduler.clone()
+        clone.scheduler = self.scheduler
+        self._owns_scheduler = clone._owns_scheduler = False
         clone.step_count = self.step_count
         clone.trace = list(self.trace)  # ActionRecords are frozen: share
-        clone.operations = [op.clone() for op in self.operations]
+        # op_id == index in ``operations`` (enforced by invoke_*), so
+        # the pending records are cloned in place and indexed afresh.
+        clone.operations = operations = list(self.operations)
+        clone._pending_ops = pending = {}
+        for op_id, record in self._pending_ops.items():
+            pending[op_id] = operations[op_id] = record.clone()
         clone._next_op_id = self._next_op_id
         clone.record_trace = self.record_trace
         clone.adversary = (
@@ -635,6 +704,7 @@ class World:
         self._owned.clear()
         clone._owned = set()
         clone._digest_memo = self._digest_memo
+        clone._interned = self._interned
         # The channel index is mutated in place by the channels that
         # hold it, so each twin gets its own copy (and never replaces
         # it).  The pid lists are replaced, never mutated in place:
@@ -643,28 +713,26 @@ class World:
         clone._pids = self._pids
         clone._server_pids = self._server_pids
         clone._client_pids = self._client_pids
-        # op_id == index in ``operations`` (enforced by invoke_*), so the
-        # pending index can be rebuilt against the cloned records.
-        clone._pending_ops = {
-            op_id: clone.operations[op_id] for op_id in self._pending_ops
-        }
         # Anything monkeypatched onto this instance (e.g. the message
         # spies in analysis/communication.py) is copied the way deepcopy
         # would have copied it.
-        for key, value in self.__dict__.items():
-            if key not in clone.__dict__:
-                clone.__dict__[key] = copy.deepcopy(value)
+        if len(self.__dict__) > len(clone.__dict__):
+            for key, value in self.__dict__.items():
+                if key not in clone.__dict__:
+                    clone.__dict__[key] = copy.deepcopy(value)
         return clone
 
     def __getstate__(self) -> dict:
         # Mapping views do not pickle, and the digest memo holds other
         # Worlds' processes and channels; both are rebuilt by
-        # ``__setstate__``.  Pickle keeps the identity of ``_nonempty``
-        # and the list each owned channel holds, so the channels a copy
-        # owns hold the copy's own index.
+        # ``__setstate__``, and the intern table starts afresh with the
+        # memo.  Pickle keeps the identity of ``_nonempty`` and the list
+        # each owned channel holds, so the channels a copy owns hold the
+        # copy's own index.
         state = self.__dict__.copy()
         del state["processes"], state["channels"]
         state["_digest_memo"] = {}
+        state["_interned"] = InternTable()
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -19,11 +19,20 @@ The state key: configuration and operation order, not clock
 A state is keyed on what decides its future and its verdict, and
 nothing else:
 
-* every process digest and every non-empty channel's contents;
+* every process digest and every non-empty channel's contents, as a
+  flat tuple of small ints (:meth:`World.config_ids`): each distinct
+  process or channel entry is interned once, in a table the explored
+  World shares with its forks, so a state costs a few ints, not nested
+  digest tuples, and an unchanged process or channel costs one
+  identity test.  Interning is exact (equal ids iff equal entries), so
+  the key decides equality as the digests themselves would, with no
+  hash compaction and no collision probability;
 * per operation ``(op_id, kind, value, rank)``, where ``rank`` is the
   number of invocations before the operation's response
   (``bisect_left`` of its ``response_step`` into the invocation steps,
-  None while pending);
+  None while pending).  Only an invocation or a completion changes
+  it, so the search rebuilds it only when the number of operations or
+  of pending operations differs from the parent state's;
 * with a channel adversary installed, the adversary's decision state
   (:meth:`~repro.faults.adversary.ChannelAdversary.state_digest`: RNG
   position, drop and duplicate counters, active partition).
@@ -93,6 +102,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.consistency.atomicity import check_atomicity
 from repro.errors import ReproError
+from repro.sim.events import OperationRecord
 from repro.sim.network import World
 from repro.sim.process import ClientProcess
 
@@ -150,11 +160,10 @@ class ExplorationResult:
         return self.violations[0] if self.violations else None
 
 
-def _state_key(world: World) -> tuple:
-    """The precedence key of a state (see the module docstring)."""
-    ops = world.operations
+def _history_key(ops: Sequence[OperationRecord]) -> tuple:
+    """Per operation ``(op_id, kind, value, rank)`` (module docstring)."""
     invoke_steps = [op.invoke_step for op in ops]
-    history = tuple(
+    return tuple(
         (
             op.op_id,
             op.kind,
@@ -165,10 +174,21 @@ def _state_key(world: World) -> tuple:
         )
         for op in ops
     )
+
+
+def _state_key(world: World, history: Optional[tuple] = None) -> tuple:
+    """The precedence key of a state (see the module docstring):
+    ``(config ids, history, adversary decision state)``.
+
+    The configuration part is :meth:`World.config_ids`, so keys compare
+    only within one World family (a World and its forks).  ``history``
+    is the history part when the caller knows it is unchanged.
+    """
+    if history is None:
+        history = _history_key(world.operations)
     adversary = world.adversary
     return (
-        world.process_digests(),
-        world.channel_digests(),
+        world.config_ids(),
         history,
         None if adversary is None else adversary.state_digest(),
     )
@@ -239,7 +259,7 @@ class ScheduleExplorer:
         world = world.fork()
         world.record_trace = False
         try:
-            _Search(self, world, result).visit(world, (), _EMPTY_SLEEP)
+            _Search(self, world, result).visit(world, (), _EMPTY_SLEEP, None, None)
         except (ExplorationBudgetExceeded, _FoundViolation):
             result.exhausted = False
         return result
@@ -298,29 +318,41 @@ class _Search:
         )
 
     def visit(
-        self, state: World, path: Tuple[ChannelKey, ...], sleep: frozenset
+        self,
+        state: World,
+        path: Tuple[ChannelKey, ...],
+        sleep: frozenset,
+        history: Optional[tuple],
+        counts: Optional[Tuple[int, int]],
     ) -> None:
+        """Explore ``state``; ``history`` and ``counts`` are the parent
+        state's history key and its numbers of operations and of
+        pending operations (None at the root)."""
         explorer = self.explorer
         result = self.result
         visited = self.visited
         explorer._fire_followups(state, self.base_ops)
-        key = _state_key(state)
+        # Only an invocation (more operations) or a completion (fewer
+        # pending) changes the history part of the key, and no edge can
+        # do one and undo it: follow-ups only add operations.
+        operations = state.operations
+        now = (len(operations), len(state.pending_operations()))
+        if now != counts:
+            history = _history_key(operations)
+        key = _state_key(state, history)
         enabled = state.enabled_channels()
         stored = visited.get(key)
         if stored is None:
             # Sleep sets are frozen: store the set itself, not a copy.
             visited[key] = sleep
-            to_explore = [a for a in enabled if a not in sleep]
-            # Actions already covered act as explored siblings.
-            covered = set(sleep)
+            to_explore = [a for a in enabled if a not in sleep] if sleep else enabled
+            woken = None
         else:
             if stored <= sleep:
                 return  # an earlier visit explored a superset
             woken = stored - sleep
             visited[key] = stored & sleep
             to_explore = [a for a in enabled if a in woken]
-            covered = set(sleep)
-            covered.update(a for a in enabled if a not in woken)
         result.states_visited += 1
         if result.states_visited > explorer.max_states:
             raise ExplorationBudgetExceeded()
@@ -329,14 +361,19 @@ class _Search:
 
         if not enabled:
             result.executions_checked += 1
-            if state.pending_operations():
+            if now[1]:
                 result.incomplete_terminals += 1
-            if not explorer.checker(list(state.operations)):
-                result.violations.append((path, list(state.operations)))
+            if not explorer.checker(list(operations)):
+                result.violations.append((path, list(operations)))
                 if explorer.stop_at_first_violation:
                     raise _FoundViolation()
             return
         por_active = self.por_active
+        if por_active:
+            # Actions already covered act as explored siblings.
+            covered = set(sleep)
+            if woken is not None:
+                covered.update(a for a in enabled if a not in woken)
         last = len(to_explore) - 1
         for index, key_choice in enumerate(to_explore):
             # The parent state is dead after its final branch, so the
@@ -350,7 +387,7 @@ class _Search:
                 )
             else:
                 child_sleep = _EMPTY_SLEEP
-            self.visit(child, path + (key_choice,), child_sleep)
+            self.visit(child, path + (key_choice,), child_sleep, history, now)
             if por_active:
                 covered.add(key_choice)
 

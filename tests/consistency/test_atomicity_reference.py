@@ -5,15 +5,24 @@ without the interval decomposition, must agree with a straightforward
 (exponential) reference on every small history:
 enumerate each subset of incomplete writes to include, each permutation
 of the chosen operations, check real-time order and register legality.
-Hypothesis generates the histories.
+Hypothesis generates histories, and the exhaustive explorer supplies
+every terminal history of two small configurations, one of which
+violates atomicity.
 """
 
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency.atomicity import check_atomicity
 from repro.sim.events import OperationRecord
+from repro.verification.explore import ScheduleExplorer
+from tests.verification.test_explore import (
+    INVERSION_FOLLOWUPS,
+    inversion_prefix_world,
+    swmr_write_read_world,
+)
 
 
 def brute_force_atomic(ops, initial_value=0):
@@ -104,3 +113,36 @@ class TestAgainstBruteForce:
             check_atomicity(ops, initial_value=initial).ok
             == brute_force_atomic(ops, initial_value=initial)
         )
+
+
+#: Explorer configurations: (build, follow-ups, terminal histories,
+#: violating ones).
+EXPLORED = {
+    "swmr-write-read": (swmr_write_read_world, [], 18, 0),
+    "inversion-prefix": (inversion_prefix_world, INVERSION_FOLLOWUPS, 81, 6),
+}
+
+
+class TestExplorerHistories:
+    @pytest.mark.parametrize("name", sorted(EXPLORED))
+    def test_three_checkers_agree_on_every_terminal_history(self, name):
+        """The explorer's checker sees each terminal history once; the
+        decomposed and monolithic searches and the brute force give it
+        one verdict, and the explorer reports exactly the histories
+        that verdict rejects."""
+        build, followups, terminals, violating = EXPLORED[name]
+        verdicts = []
+
+        def recording(ops) -> bool:
+            verdict = check_atomicity(ops).ok
+            assert check_atomicity(ops, decompose=False).ok == verdict
+            assert brute_force_atomic(ops) == verdict
+            verdicts.append(verdict)
+            return verdict
+
+        result = ScheduleExplorer(
+            checker=recording, followups=followups, max_states=50_000
+        ).explore(build())
+        assert result.exhausted
+        assert len(verdicts) == result.executions_checked == terminals
+        assert verdicts.count(False) == len(result.violations) == violating

@@ -75,6 +75,22 @@ silently goes eager again fails it:
   (re-digesting every non-empty channel made 27,870 calls);
 * ``World.fork`` makes no ``copy.deepcopy`` call (the deepcopy fork
   made 17 per fork of a mid-operation CAS world);
+* forks share the scheduler and ``World.step`` clones it on first
+  use, so the explorer, which never steps, makes no
+  ``RoundRobinScheduler.clone`` call (an eager clone made 5,873);
+* forks share completed operation records: ``OperationRecord.clone``
+  runs once per pending record at a fork, 9,457 times (cloning every
+  record made 11,746);
+* ``clone_instance_state`` copies ``__dict__`` in one call and
+  re-clones only attributes that are neither atomic nor share-safe:
+  27,471 ``clone_state_value`` calls (one per attribute made 101,160);
+* every state key's configuration part is a flat tuple of interned
+  ints, one key per visit (8,098), from an intern table of 41 entries
+  (nested digest tuples made 0 int keys; a fork that starts its own
+  table splits the space into 40,812 states);
+* the explorer rebuilds a key's history part only when the number of
+  operations or of pending operations changed: 2,413 times in 8,098
+  visits;
 * with sleep sets on, the same space takes 7,921 deliveries and
   5,267 forks instead of 8,097 and 5,873, for the same 18 terminal
   histories, though it visits 2,673 states (revisits that wake slept
@@ -129,8 +145,10 @@ import pickle
 import pytest
 
 import repro.consistency.atomicity as atomicity_module
+import repro.sim.clone as clone_module
 import repro.sim.network as network_module
 import repro.sim.scheduler as scheduler_module
+import repro.verification.explore as explore_module
 from repro.analysis.empirical import empirical_figure1
 from repro.consistency.atomicity import check_atomicity
 from repro.faults.adversary import ChannelAdversary
@@ -142,8 +160,10 @@ from repro.registers.abd import ABDServer, build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
 from repro.registers.cas import CASServer, build_cas_system
 from repro.sim.channel import Channel
+from repro.sim.events import OperationRecord
 from repro.sim.network import World
 from repro.sim.process import Process
+from repro.sim.scheduler import RoundRobinScheduler
 from repro.verification.explore import explore_all_schedules
 from repro.workload.generator import run_random_workload
 
@@ -363,6 +383,24 @@ def _explore_tally(por: bool) -> collections.Counter:
     """Call counts over one exhaustive exploration of the explore config."""
     tally = collections.Counter()
     depth = [0]
+    roots = []
+
+    def build():
+        world = _explore_world()
+        roots.append(world)
+        return world
+
+    def pending_at_fork(world):
+        tally["pending_copied"] += len(world.pending_operations())
+
+    state_key = explore_module._state_key
+
+    def spy_key(*args, **kwargs):
+        key = state_key(*args, **kwargs)
+        tally["keys"] += 1
+        if type(key[0]) is tuple and all(type(i) is int for i in key[0]):
+            tally["int_keys"] += 1
+        return key
 
     def top_level(original):
         # A digest that calls another digest counts once.
@@ -388,23 +426,38 @@ def _explore_tally(por: bool) -> collections.Counter:
     with pytest.MonkeyPatch.context() as patch:
         for cls, attr, name in (
             (World, "deliver", "deliveries"),
-            (World, "fork", "forks"),
             (World, "enqueue_message", "sends"),
             (Process, "clone", "process_clones"),
             (Channel, "clone", "channel_clones"),
             (Channel, "__len__", "channel_len"),
             (Channel, "state_digest", "channel_digests"),
+            (RoundRobinScheduler, "clone", "scheduler_clones"),
+            (OperationRecord, "clone", "record_clones"),
         ):
             patch.setattr(cls, attr, _counting(tally, name, vars(cls)[attr]))
+        patch.setattr(
+            World, "fork",
+            _counting(tally, "forks", vars(World)["fork"], pending_at_fork),
+        )
         for cls in digest_owners:
             patch.setattr(cls, "state_digest", top_level(vars(cls)["state_digest"]))
+        # Module-level names: the recursion and the explorer look them
+        # up at each call, so every call is counted.
+        patch.setattr(
+            clone_module, "clone_state_value",
+            _counting(tally, "clone_state_values", clone_module.clone_state_value),
+        )
+        patch.setattr(
+            explore_module, "_history_key",
+            _counting(tally, "history_keys", explore_module._history_key),
+        )
+        patch.setattr(explore_module, "_state_key", spy_key)
         with _collector_off(tally, "garbage"):
-            result = explore_all_schedules(
-                _explore_world, max_states=100_000, por=por
-            )
+            result = explore_all_schedules(build, max_states=100_000, por=por)
     assert result.exhausted and result.ok
     tally["states"] = result.states_visited
     tally["executions"] = result.executions_checked
+    tally["interned"] = len(roots[0]._interned)
     return tally
 
 
@@ -458,6 +511,30 @@ def test_digests_reuse_unowned_channels(explore_counts):
 
 def test_exploration_leaves_no_cyclic_garbage(explore_counts):
     assert explore_counts["garbage"] == 0
+
+
+def test_explorer_forks_clone_no_scheduler(explore_counts, por_explore_counts):
+    assert explore_counts["scheduler_clones"] == 0
+    assert por_explore_counts["scheduler_clones"] == 0
+
+
+def test_forks_clone_only_pending_records(explore_counts):
+    assert explore_counts["record_clones"] == explore_counts["pending_copied"]
+    assert explore_counts["record_clones"] == 9_457
+
+
+def test_explore_clones_copy_only_mutable_attributes(explore_counts):
+    assert explore_counts["clone_state_values"] == 27_471
+
+
+def test_explore_keys_are_flat_interned_ids(explore_counts):
+    visits = explore_counts["deliveries"] + 1
+    assert explore_counts["keys"] == explore_counts["int_keys"] == visits
+    assert explore_counts["interned"] == 41
+
+
+def test_explore_rebuilds_history_key_only_when_operations_change(explore_counts):
+    assert explore_counts["history_keys"] == 2_413  # of 8,098 visits
 
 
 def _mid_operation_world() -> World:

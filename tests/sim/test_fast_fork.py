@@ -27,7 +27,9 @@ from repro.registers.abd import build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
 from repro.registers.cas import build_cas_system
 from repro.sim.events import Message
+from repro.sim.network import World
 from repro.sim.process import ServerProcess
+from repro.sim.scheduler import RandomScheduler, RoundRobinScheduler
 from repro.sim.snapshot import composite_digest, world_digest
 
 
@@ -141,6 +143,9 @@ def test_fork_preserves_pending_operation_identity():
     clone.deliver_all()
     assert clone.pending_operations() == []
     assert [op.op_id for op in world.pending_operations()] == [0]
+    # A completed record is shared: nothing writes it again.
+    world.deliver_all()
+    assert world.fork().operations[0] is world.operations[0]
 
 
 def _step_interleaved(worlds, rng, rounds=40):
@@ -336,6 +341,91 @@ def test_channel_mutation_after_a_cached_digest_is_seen():
     channel.dequeue()  # the owned channel changes again, in place
     assert world_digest(fork) not in (fork_before, fork_after)
     assert world_digest(world) == parent_before
+
+
+def _reference_digest(world):
+    """``world_digest`` computed afresh from every object: no memo, no
+    intern table, no channel index."""
+    processes = tuple(
+        (pid, process.failed, process.state_digest())
+        for pid, process in sorted(world.processes.items())
+    )
+    channels = tuple(
+        (key, channel.state_digest())
+        for key, channel in sorted(world.channels.items())
+        if len(channel)
+    )
+    return (world.step_count, processes, channels)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_interned_ids_of_fast_and_deepcopy_forks_agree(seed):
+    """A fast fork shares its parent's intern table, a deep copy starts
+    its own; fed the same deliveries, both hand out the same ids, and
+    the digests read back through them are the digests of the objects."""
+    world = _random_world(seed)
+    fast = world.fork()
+    slow = copy.deepcopy(world)
+    assert slow._interned is not fast._interned is world._interned
+    rng = random.Random(seed * 13 + 5)
+    for _ in range(30):
+        assert fast.config_ids() == slow.config_ids()
+        assert all(type(ident) is int for ident in fast.config_ids())
+        assert world_digest(fast) == world_digest(slow) == _reference_digest(fast)
+        enabled = fast.enabled_channels()
+        if not enabled:
+            break
+        key = rng.choice(enabled)
+        fast.deliver(*key)
+        slow.deliver(*key)
+    assert world_digest(world) == _reference_digest(world)
+
+
+@pytest.mark.parametrize("scheduler_cls", [RoundRobinScheduler, RandomScheduler])
+def test_scheduler_is_copied_on_first_step(scheduler_cls, monkeypatch):
+    """Twins share the scheduler until one steps.  With the parent
+    stepping first, the parent and its fork still step exactly like
+    deep copies taken at the fork point; a fork that never steps (the
+    explorer's) clones no scheduler."""
+    clones = []
+    clone = scheduler_cls.clone
+
+    def counted(self):
+        clones.append(self)
+        return clone(self)
+
+    monkeypatch.setattr(scheduler_cls, "clone", counted)
+    handle = build_abd_system(
+        n=3, f=1, value_bits=4, num_writers=2, num_readers=1,
+        world=World(scheduler_cls()),
+    )
+    world = handle.world
+    world.invoke_write("w000", 3)
+    world.invoke_write("w001", 5)
+    world.invoke_read("r000")
+    for _ in range(4):
+        world.step()
+    fork = world.fork()
+    oracle_parent = copy.deepcopy(world)
+    oracle_fork = copy.deepcopy(world)
+    assert fork.scheduler is world.scheduler
+    for _ in range(3):
+        fork.fork().deliver(*fork.enabled_channels()[0])
+    assert clones == []  # forks and deliveries alone clone nothing
+    for twin, oracle in ((world, oracle_parent), (fork, oracle_fork)):
+        while True:
+            action, expected = twin.step(), oracle.step()
+            if action is None:
+                assert expected is None
+                break
+            assert (action.kind, action.src, action.dst) == (
+                expected.kind, expected.src, expected.dst
+            )
+            assert world_digest(twin) == world_digest(oracle)
+    assert world.scheduler is not fork.scheduler
+    # One clone per World at its first step: the twins, and the deep
+    # copies, taken of a World that no longer owned its scheduler.
+    assert len(clones) == 4
 
 
 def test_a_dropped_fork_is_freed_without_the_collector():

@@ -1,5 +1,7 @@
 """Tests for the exhaustive schedule explorer."""
 
+import pickle
+
 import pytest
 
 from repro.consistency.atomicity import check_atomicity
@@ -127,18 +129,60 @@ class TestStateKey:
     def test_completion_before_or_after_a_followup_has_two_keys(self):
         """Read 1 completes before, or after, the follow-up read that
         the write's completion invokes: one configuration, two
-        histories (read 1 precedes read 2, or overlaps it)."""
-        before = _deliver(
-            one_reply_each_world(), ("s001", "r000"), ("s001", "w000")
-        )
+        histories (read 1 precedes read 2, or overlaps it).  Both are
+        forks of one root, so their interned ids share one table and
+        equal configuration parts mean equal configurations."""
+        root = one_reply_each_world()
+        before = _deliver(root.fork(), ("s001", "r000"), ("s001", "w000"))
         before.invoke_read("r001")
-        after = _deliver(one_reply_each_world(), ("s001", "w000"))
+        after = _deliver(root.fork(), ("s001", "w000"))
         after.invoke_read("r001")
         _deliver(after, ("s001", "r000"))
         assert before.step_count == after.step_count
         assert before.process_digests() == after.process_digests()
         assert before.channel_digests() == after.channel_digests()
-        assert _state_key(before) != _state_key(after)
+        assert before.config_ids() == after.config_ids()
+        before_key, after_key = _state_key(before), _state_key(after)
+        assert before_key[0] == after_key[0]
+        assert before_key != after_key
+
+
+def _explore_outcome(world):
+    """States, terminals, exhaustion and every reported history."""
+    result = ScheduleExplorer(checker=lambda ops: False).explore(world)
+    return (
+        result.states_visited,
+        result.executions_checked,
+        result.exhausted,
+        [
+            (path, [
+                (op.op_id, op.kind, op.value, op.invoke_step, op.response_step)
+                for op in ops
+            ])
+            for path, ops in result.violations
+        ],
+    )
+
+
+class TestInternTableLifetime:
+    def test_reused_or_fresh_tables_explore_alike(self):
+        """The intern table lives as long as the digest memo: a World
+        and its forks share it, a pickled copy starts its own.
+        Exploring one World twice, a fork of it or a pickled copy gives
+        identical results, and a second pass interns nothing new."""
+        world = swmr_write_read_world()
+        first = _explore_outcome(world)
+        assert first[:3] == (2_243, 18, True) and len(first[3]) == 18
+        table = len(world._interned)
+        assert _explore_outcome(world) == first
+        assert len(world._interned) == table
+        fork = world.fork()
+        assert fork._interned is world._interned
+        assert _explore_outcome(fork) == first
+        copied = pickle.loads(pickle.dumps(world))
+        assert len(copied._interned) == 0 and not copied._digest_memo
+        assert _explore_outcome(copied) == first
+        assert len(copied._interned) == table
 
 
 class TestCounterexampleHunt:

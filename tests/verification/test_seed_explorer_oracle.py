@@ -32,9 +32,15 @@ steps, coded SWMR with k=2 advanced nine, the inversion prefix with its follow-u
 the write-back phase, ``read_write_back=False``: a seeded atomicity
 bug both sides must find), a write that completes before or after a
 follow-up invocation, ``test_por.py``'s adversarial write world,
-and seeded random small configurations (SWMR-ABD or coded SWMR, an
+seeded random small configurations (SWMR-ABD or coded SWMR, an
 optional follow-up read and duplicating adversary, a random delivery
-prefix), each under about 1,500 concrete states.
+prefix), each under about 1,500 concrete states, and multi-writer ABD
+with two writes and a read (ν=2, the regime where CAS storage grows
+with the number of concurrent writes) after a seeded random delivery
+prefix, checked for atomicity only.  The production explorer keys
+states on interned ids (``World.config_ids``); the seed loop keys on
+the digests themselves, so a merge or split of states by the ids
+shows up as a state count that differs.
 """
 
 import copy
@@ -45,6 +51,7 @@ import pytest
 from repro.consistency.atomicity import check_atomicity
 from repro.consistency.regularity import check_regular
 from repro.faults.adversary import AdversaryConfig, ChannelAdversary
+from repro.registers.abd import build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
 from repro.registers.coded_swmr import build_coded_swmr_system
 from repro.sim.snapshot import world_digest
@@ -79,6 +86,12 @@ def _abstract(ops) -> tuple:
 
 def _checker(ops) -> bool:
     return check_atomicity(ops).ok and check_regular(ops).ok
+
+
+def _atomic(ops) -> bool:
+    """The checker for multi-writer histories (regularity as
+    ``check_regular`` checks it is single-writer only)."""
+    return check_atomicity(ops).ok
 
 
 def _adversary_state(world):
@@ -119,7 +132,7 @@ def _abstract_state(state) -> tuple:
     )
 
 
-def _seed_explore(world, followups=()):
+def _seed_explore(world, followups=(), checker=_checker):
     """The seed explorer: deepcopy fork per branch, concrete key, no
     reduction.
 
@@ -149,7 +162,7 @@ def _seed_explore(world, followups=()):
         enabled = state.enabled_channels()
         if not enabled:
             ops = list(state.operations)
-            outcomes.add((_abstract(ops), _checker(ops)))
+            outcomes.add((_abstract(ops), checker(ops)))
             terminals.add(abstract)
             return
         for choice in enabled:
@@ -163,30 +176,30 @@ def _seed_explore(world, followups=()):
     return len(visited), outcomes, abstract_states, terminals
 
 
-def _explore(world, followups=(), por=False):
+def _explore(world, followups=(), por=False, checker=_checker):
     outcomes = set()
 
-    def checker(ops) -> bool:
-        verdict = _checker(ops)
+    def recording(ops) -> bool:
+        verdict = checker(ops)
         outcomes.add((_abstract(ops), verdict))
         return verdict
 
     result = ScheduleExplorer(
-        checker=checker, followups=followups, por=por
+        checker=recording, followups=followups, por=por
     ).explore(world)
     assert result.exhausted
     return result, outcomes
 
 
-def _assert_agree(build, followups=()):
+def _assert_agree(build, followups=(), checker=_checker):
     """Both explorer modes against the seed loop; returns the seed
     loop's state count and outcomes and the unreduced explorer result."""
     states, outcomes, abstract_states, terminals = _seed_explore(
-        build(), followups
+        build(), followups, checker
     )
     full = None
     for por in (False, True):
-        result, found = _explore(build(), followups, por)
+        result, found = _explore(build(), followups, por, checker)
         assert found == outcomes, f"por={por}"
         assert result.executions_checked == len(terminals), f"por={por}"
         assert result.ok == all(verdict for _, verdict in outcomes)
@@ -342,4 +355,44 @@ RANDOM_SEEDS = (2, 6, 16, 28, 29, 40, 43, 44, 46, 52, 53)
 def test_random_small_configurations(seed):
     build, followups = _random_config(seed)
     states, _, _ = _assert_agree(build, followups)
+    assert states < 500
+
+
+def _two_writes_config(seed: int):
+    """Multi-writer ABD (N=3, f=1) with two writes and a read invoked
+    together (ν=2), after a seeded random delivery prefix."""
+    rng = random.Random(seed)
+    prefix_seed = rng.randrange(1_000)
+    prefix_length = rng.randrange(27, 33)
+
+    def build():
+        handle = build_abd_system(
+            n=3, f=1, value_bits=2, num_writers=2, num_readers=1
+        )
+        world = handle.world
+        world.invoke_write("w000", 1)
+        world.invoke_write("w001", 2)
+        world.invoke_read("r000")
+        prefix = random.Random(prefix_seed)
+        for _ in range(prefix_length):
+            enabled = world.enabled_channels()
+            if not enabled:
+                break
+            world.deliver(*prefix.choice(enabled))
+        return world
+
+    return build
+
+
+#: Seeds of :func:`_two_writes_config` whose seed-loop search stays
+#: under 500 concrete states, each with two operations still pending
+#: after the prefix: both writes (66, 89) or a write and the read.
+TWO_WRITES_SEEDS = (48, 51, 66, 79, 89)
+
+
+@pytest.mark.parametrize("seed", TWO_WRITES_SEEDS)
+def test_two_concurrent_writes(seed):
+    build = _two_writes_config(seed)
+    assert len(build().pending_operations()) == 2
+    states, _, _ = _assert_agree(build, checker=_atomic)
     assert states < 500
