@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.figure1 import FIGURE1_HEADERS, figure1_rows, figure1_series
@@ -51,29 +52,27 @@ from repro.lowerbound.assumptions import analyze_write_protocol
 from repro.lowerbound.theorem41 import run_theorem41_experiment
 from repro.lowerbound.theorem65 import run_theorem65_experiment
 from repro.lowerbound.theorem_b1 import run_theorem_b1_experiment
-from repro.registers.abd import build_abd_system
-from repro.registers.abd_swmr import build_swmr_abd_system
-from repro.registers.cas import build_cas_system
-from repro.registers.casgc import build_casgc_system
-from repro.registers.coded_swmr import build_coded_swmr_system
+from repro.registers.catalog import (
+    ALGORITHM_NAMES,
+    MULTI_WRITER,
+    build_client_system,
+)
 from repro.util.tables import format_table
 
-#: name -> builder(n, f, value_bits) for single-writer experiment drivers.
+#: name -> builder(n, f, value_bits) for single-writer experiment
+#: drivers: one writer, one reader, CASGC at ``gc_depth=1``.
 ALGORITHMS: Dict[str, Callable] = {
-    "abd": lambda n, f, vb: build_abd_system(n=n, f=f, value_bits=vb),
-    "swmr-abd": lambda n, f, vb: build_swmr_abd_system(n=n, f=f, value_bits=vb),
-    "cas": lambda n, f, vb: build_cas_system(n=n, f=f, value_bits=vb),
-    "casgc": lambda n, f, vb: build_casgc_system(n=n, f=f, value_bits=vb, gc_depth=1),
-    "coded-swmr": lambda n, f, vb: build_coded_swmr_system(n=n, f=f, value_bits=vb),
+    name: partial(
+        build_client_system, name, num_writers=1, num_readers=1, gc_depth=1
+    )
+    for name in ALGORITHM_NAMES
 }
 
-#: name -> builder(n, f, value_bits, num_writers) for Theorem 6.5.
+#: name -> builder(n, f, value_bits, num_writers) for Theorem 6.5: one
+#: reader, CASGC at ``gc_depth=2``.
 MULTI_WRITER_ALGORITHMS: Dict[str, Callable] = {
-    "abd": lambda n, f, vb, nw: build_abd_system(n=n, f=f, value_bits=vb, num_writers=nw),
-    "cas": lambda n, f, vb, nw: build_cas_system(n=n, f=f, value_bits=vb, num_writers=nw),
-    "casgc": lambda n, f, vb, nw: build_casgc_system(
-        n=n, f=f, value_bits=vb, num_writers=nw, gc_depth=2
-    ),
+    name: partial(build_client_system, name, num_readers=1, gc_depth=2)
+    for name in MULTI_WRITER
 }
 
 
@@ -516,24 +515,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_client_system(
-    name: str, n: int, f: int, value_bits: int, writers: int, readers: int
-):
-    """Build ``name``'s system with the workload's client population.
-
-    Module-level (and argparse-free) so the parallel metrics path can
-    rebuild the system inside a worker process.  Delegates to the
-    shared :mod:`repro.registers.catalog` resolver; ``gc_depth=1`` is
-    this command family's historical CASGC setting.
-    """
-    from repro.registers.catalog import build_client_system
-
-    return build_client_system(
-        name, n, f, value_bits,
-        num_writers=writers, num_readers=readers, gc_depth=1,
-    )
-
-
 def _metrics_payload(args: argparse.Namespace, seed: int) -> dict:
     """The picklable description of one seeded ``repro metrics`` run."""
     return {
@@ -561,9 +542,10 @@ def _observed_run(payload: dict):
     from repro.obs.recorder import SimObserver
     from repro.workload.generator import run_random_workload
 
-    handle = _build_client_system(
+    handle = build_client_system(
         payload["algorithm"], payload["n"], payload["f"],
-        payload["value_bits"], payload["writers"], payload["readers"],
+        payload["value_bits"], num_writers=payload["writers"],
+        num_readers=payload["readers"], gc_depth=1,
     )
     observer = handle.world.obs = SimObserver()
     result = run_random_workload(
@@ -749,9 +731,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.recorder import SimObserver
     from repro.workload.generator import run_random_workload
 
-    handle = _build_client_system(
+    handle = build_client_system(
         args.algorithm, args.n, args.f, args.value_bits,
-        args.writers, args.readers,
+        num_writers=args.writers, num_readers=args.readers, gc_depth=1,
     )
     observer = handle.world.obs = SimObserver(record_wall=True)
     start = time.perf_counter()

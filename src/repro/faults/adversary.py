@@ -64,9 +64,7 @@ Fault semantics
 
 The partition gate composes with channel filters: the World applies the
 filter first, then the partition, so proofs can run their freezes on a
-partitioned system.  :meth:`ChannelAdversary.as_filter` exposes the
-current partition as a plain ``ChannelFilter`` for explicit
-``intersect`` composition.
+partitioned system.
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.sim.clone import clone_instance_state
 from repro.sim.events import Message
-from repro.sim.scheduler import ChannelFilter, ChannelKey
+from repro.sim.scheduler import ChannelKey
 from repro.util.rng import SeededRNG
 
 #: The initial tag as it appears in message payloads (``Tag.as_tuple``).
@@ -382,15 +380,11 @@ class ChannelAdversary:
 
     # -- partition gate (consulted by World.enabled_channels) ----------------
 
-    def allows(self, src: str, dst: str) -> bool:
-        """False iff an active partition puts src and dst on different sides."""
-        return self.partition is None or not self.partition.crosses(src, dst)
-
     def partition_gate(self, keys: List[ChannelKey]) -> List[ChannelKey]:
-        """The channel keys :meth:`allows`, in order, in one pass.
+        """The channel keys no active partition cuts, in order, in one pass.
 
         ``World.enabled_channels`` calls this once per step while a
-        partition is active, instead of :meth:`allows` per channel.
+        partition is active; with none, every key passes.
         """
         if self.partition is None:
             return list(keys)
@@ -407,10 +401,6 @@ class ChannelAdversary:
         if self.partition is not None:
             self.partition = None
             self.heals += 1
-
-    def as_filter(self) -> ChannelFilter:
-        """The current partition as a composable :class:`ChannelFilter`."""
-        return ChannelFilter(self.allows, "partition")
 
     # -- per-delivery decisions (consulted by World.deliver) -----------------
 

@@ -48,24 +48,10 @@ from repro.parallel.journal import CampaignJournal
 from repro.parallel.pool import DEFAULT_MAX_RETRIES, UNSET, run_tasks
 from repro.parallel.stats import ENGINE_STATS
 from repro.registers.base import SystemHandle
-from repro.registers.catalog import build_client_system
+from repro.registers.catalog import MULTI_WRITER, build_client_system
 from repro.util.rng import SeededRNG
 from repro.util.tables import format_table
 from repro.workload.script import OpDecision, WorkloadScript
-
-#: Algorithms a campaign exercises; all are MWMR-atomic so one safety
-#: checker (linearizability) covers them.  Builders delegate to the
-#: shared :mod:`repro.registers.catalog` resolver so the campaign, the
-#: CLI, and the triage replayer construct byte-identical systems.
-CAMPAIGN_ALGORITHMS: Dict[str, Callable[..., SystemHandle]] = {
-    name: (
-        lambda n, f, vb, byzantine_budget=0, _name=name: build_client_system(
-            _name, n, f, vb, byzantine_budget=byzantine_budget
-        )
-    )
-    for name in ("abd", "cas", "casgc")
-}
-
 
 @dataclass(frozen=True)
 class FaultConfig:
@@ -978,9 +964,9 @@ def _campaign_task(payload: dict) -> dict:
     payload is the same plain-JSON dict the cache key hashes, so the
     parallel path and the cache share one task representation.
     """
-    builder = CAMPAIGN_ALGORITHMS[payload["algorithm"]]
     config = FaultConfig.from_cache_dict(payload["config"])
-    handle = builder(
+    handle = build_client_system(
+        payload["algorithm"],
         payload["n"],
         payload["f"],
         payload["value_bits"],
@@ -1116,6 +1102,11 @@ def run_campaign(
 ) -> CampaignReport:
     """Run every algorithm under every generated fault config.
 
+    ``algorithms`` name multi-writer systems of
+    :mod:`repro.registers.catalog` (``MULTI_WRITER``); all are
+    MWMR-atomic, so one safety checker (linearizability) covers them,
+    and any other name raises :class:`~repro.errors.ConfigurationError`.
+
     ``byzantine > 0`` appends the Byzantine band
     (:data:`BYZANTINE_SHAPES`) with that many corrupt servers per run;
     the built systems defend with the matching protocol budget.
@@ -1159,6 +1150,11 @@ def run_campaign(
     completed prefix, and the journal — if any — already contains every
     completed run.
     """
+    unsupported = [a for a in algorithms if a not in MULTI_WRITER]
+    if unsupported:
+        raise ConfigurationError(
+            f"campaign algorithms must be among {MULTI_WRITER}; got {unsupported}"
+        )
     report = CampaignReport(n=n, f=f, value_bits=value_bits, num_ops=num_ops)
     configs = generate_fault_configs(f, list(seeds), byzantine)
     tasks = [

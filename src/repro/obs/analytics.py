@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import bounds as _bounds
 from repro.errors import BoundError
+from repro.obs.registry import percentile
 from repro.obs.report import storage_bound_rows
 from repro.util.tables import format_table
 
@@ -46,14 +47,6 @@ ANALYTICS_SCHEMA = "repro.analytics/1"
 #: comparison without bloating cache entries.
 SERIES_POINTS = 160
 ENVELOPE_BUCKETS = 64
-
-
-def percentile(sorted_values: Sequence[float], q: float) -> Optional[float]:
-    """Exact nearest-rank quantile of an already-sorted sequence."""
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
 
 
 def max_concurrent_writes(operations) -> int:

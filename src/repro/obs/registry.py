@@ -24,7 +24,16 @@ An uninstrumented run creates no registry (``World.obs`` is ``None``).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> Optional[float]:
+    """Exact nearest-rank quantile ``q`` of an already-sorted sequence:
+    the ``max(1, ceil(q * n))``-th smallest value; None when empty."""
+    if not sorted_values:
+        return None
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 class Counter:
@@ -106,23 +115,20 @@ class Histogram:
         """Exact nearest-rank quantile ``q`` in [0, 1]; None when empty."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.observations:
-            return None
-        ordered = sorted(self.observations)
-        rank = max(1, math.ceil(q * len(ordered)))
-        return ordered[rank - 1]
+        return percentile(sorted(self.observations), q)
 
     def summary(self) -> Dict[str, Optional[float]]:
         """count/mean/min/max plus the standard quantiles, JSON-ready."""
+        ordered = sorted(self.observations)
         return {
             "count": self.count,
             "total": self.total,
             "mean": self.mean(),
             "min": self.min(),
             "max": self.max(),
-            "p50": self.quantile(0.50),
-            "p90": self.quantile(0.90),
-            "p99": self.quantile(0.99),
+            "p50": percentile(ordered, 0.50),
+            "p90": percentile(ordered, 0.90),
+            "p99": percentile(ordered, 0.99),
         }
 
     def __repr__(self) -> str:
@@ -164,24 +170,9 @@ class TimeSeries:
         """The sampled values."""
         return list(self._values)
 
-    def last(self) -> Optional[float]:
-        """Most recent value, or None when empty."""
-        return self._values[-1] if self._values else None
-
     def max_value(self) -> Optional[float]:
         """Largest sampled value, or None when empty."""
         return max(self._values) if self._values else None
-
-    def min_value(self) -> Optional[float]:
-        """Smallest sampled value, or None when empty."""
-        return min(self._values) if self._values else None
-
-    def step_of_max(self) -> Optional[int]:
-        """First step at which the maximum value was sampled."""
-        if not self._values:
-            return None
-        peak = max(self._values)
-        return self._steps[self._values.index(peak)]
 
     def __len__(self) -> int:
         return len(self._steps)

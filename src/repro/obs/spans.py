@@ -17,8 +17,10 @@ artifacts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+from repro.obs.registry import percentile
 
 
 @dataclass
@@ -54,9 +56,9 @@ class Span:
             return None
         return self.wall_end - self.wall_begin
 
-    def to_json_dict(self, include_wall: bool = False) -> dict:
-        """JSON-ready view; wall times only on request (non-deterministic)."""
-        out = {
+    def to_json_dict(self) -> dict:
+        """JSON-ready view, without wall times (non-deterministic)."""
+        return {
             "span_id": self.span_id,
             "name": self.name,
             "owner": self.owner,
@@ -66,16 +68,6 @@ class Span:
             "op_id": self.op_id,
             "parent_id": self.parent_id,
         }
-        if include_wall:
-            out["wall_seconds"] = self.wall_seconds
-        return out
-
-
-@dataclass
-class _OwnerState:
-    """Per-owner stack of open spans."""
-
-    stack: List[Span] = field(default_factory=list)
 
 
 class SpanTracker:
@@ -96,7 +88,8 @@ class SpanTracker:
         #: :meth:`note_crash`): ``{"owner", "name", "span_id",
         #: "crash_step"}`` records, in crash order.
         self.crash_orphans: List[dict] = []
-        self._owners: Dict[str, _OwnerState] = {}
+        #: Per owner, its stack of open spans.
+        self._owners: Dict[str, List[Span]] = {}
         self._next_id = 0
 
     def begin(
@@ -107,8 +100,8 @@ class SpanTracker:
         op_id: Optional[int] = None,
     ) -> Span:
         """Open a span named ``name`` for ``owner`` at simulation ``step``."""
-        state = self._owners.setdefault(owner, _OwnerState())
-        parent = state.stack[-1] if state.stack else None
+        stack = self._owners.setdefault(owner, [])
+        parent = stack[-1] if stack else None
         span = Span(
             span_id=self._next_id,
             name=name,
@@ -119,7 +112,7 @@ class SpanTracker:
             wall_begin=time.perf_counter() if self.record_wall else None,
         )
         self._next_id += 1
-        state.stack.append(span)
+        stack.append(span)
         self.spans.append(span)
         return span
 
@@ -129,16 +122,15 @@ class SpanTracker:
         Returns the closed span, or None (and records the orphan end)
         when no open span matches.
         """
-        state = self._owners.get(owner)
-        if state is not None:
-            for i in range(len(state.stack) - 1, -1, -1):
-                span = state.stack[i]
-                if span.name == name:
-                    span.end_step = step
-                    if self.record_wall:
-                        span.wall_end = time.perf_counter()
-                    del state.stack[i]
-                    return span
+        stack = self._owners.get(owner, ())
+        for i in range(len(stack) - 1, -1, -1):
+            span = stack[i]
+            if span.name == name:
+                span.end_step = step
+                if self.record_wall:
+                    span.wall_end = time.perf_counter()
+                del stack[i]
+                return span
         self.unmatched_ends.append({"owner": owner, "name": name, "step": step})
         return None
 
@@ -151,10 +143,7 @@ class SpanTracker:
         to reports instead of silently dropping the phase.  Returns the
         spans that were open at the crash.
         """
-        state = self._owners.get(owner)
-        if state is None:
-            return []
-        orphans = list(state.stack)
+        orphans = list(self._owners.get(owner, ()))
         for span in orphans:
             self.crash_orphans.append(
                 {
@@ -190,8 +179,8 @@ class SpanTracker:
                 "mean_steps": sum(durations) / n,
                 "min_steps": durations[0],
                 "max_steps": durations[-1],
-                "p50_steps": durations[max(0, (n + 1) // 2 - 1)],
-                "p95_steps": durations[max(0, -(-19 * n // 20) - 1)],
+                "p50_steps": percentile(durations, 0.50),
+                "p95_steps": percentile(durations, 0.95),
             }
         return out
 
@@ -212,9 +201,9 @@ class SpanTracker:
             }
         return out
 
-    def to_json_list(self, include_wall: bool = False) -> List[dict]:
+    def to_json_list(self) -> List[dict]:
         """Every span (open or closed) as JSON-ready dicts, begin order."""
-        return [s.to_json_dict(include_wall=include_wall) for s in self.spans]
+        return [s.to_json_dict() for s in self.spans]
 
     def __repr__(self) -> str:
         open_count = len(self.open_spans())

@@ -1,13 +1,14 @@
 """Name-indexed register-system builders shared by every driver.
 
-The CLI, the chaos campaign, and the triage replayer all need to turn
-``("cas", n, f, value_bits, ...)`` into a built
+The CLI, the chaos campaign, trace capture and the triage replayer all
+need to turn ``("cas", n, f, value_bits, ...)`` into a built
 :class:`~repro.registers.base.SystemHandle`.  Each used to carry its
 own lambda table; :func:`build_client_system` is the single canonical
-resolver, so a ``repro.bundle/1`` artifact can name its system by
-algorithm string plus a plain ``builder_params`` dict and be rebuilt
-identically anywhere — worker processes included (everything here is
-module-level and picklable by reference).
+resolver (the CLI's ``ALGORITHMS`` tables only fix its client
+population and CASGC depth), so a ``repro.bundle/1`` artifact can name
+its system by algorithm string plus a plain ``builder_params`` dict and
+be rebuilt identically anywhere — worker processes included (everything
+here is module-level and picklable by reference).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from repro.registers.coded_swmr import build_coded_swmr_system
 #: Algorithms with a configurable client population (MWMR).
 MULTI_WRITER = ("abd", "cas", "casgc")
 
-#: All buildable algorithm names.
-ALGORITHM_NAMES = ("abd", "cas", "casgc", "swmr-abd", "coded-swmr")
+#: All buildable algorithm names, in the order the CLI lists them.
+ALGORITHM_NAMES = ("abd", "swmr-abd", "cas", "casgc", "coded-swmr")
 
 
 def build_client_system(

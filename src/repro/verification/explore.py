@@ -58,70 +58,32 @@ and only the step counter used to keep those states apart.
 fixes every operation's value, completion and real-time precedence.
 A :data:`HistoryChecker` must decide on exactly those (the contract on
 :class:`ScheduleExplorer`); atomicity and regularity do.
-
-Partial-order reduction
------------------------
-
-With ``por=True`` the explorer prunes redundant interleavings with
-*sleep sets* (Godefroid).  Two enabled deliveries commute when they
-target **different server** receivers: delivering to server ``b`` only
-mutates ``b``'s local state, consumes the head of one channel, and
-appends to the tails of ``b``'s outgoing channels — all disjoint from
-a delivery to server ``d != b``, and neither completes nor invokes an
-operation.  Executing them in either order therefore reaches the
-*identical* key, so after exploring the subtree that starts with
-delivery ``a``, every sibling subtree may skip schedules that merely
-postpone ``a`` past deliveries independent of it.  Deliveries to
-*clients* are never treated as independent: a client delivery may
-complete an operation (fixing its rank) or fire a follow-up invocation
-(raising the rank of everything that completes later), so its order
-relative to other client actions is observable in the history the
-checker sees.  Violation verdicts and the ``exhausted`` flag are
-identical to the full exploration — only the number of explored
-interleavings shrinks — which ``tests/verification/test_por.py``
-asserts on the seed configurations.
-
-Sleep sets compose with key deduplication the way Godefroid's
-state-matching variant prescribes: each stored key remembers the sleep
-set it was explored with; a revisit whose sleep set is a superset is
-pruned outright, and a revisit that *wakes* previously slept actions
-re-explores only the difference (the woken actions), storing the
-intersection.  Everything explored earlier from the same key acts as
-an already-covered sibling for the new pass.  Two invariants make this
-sound here: sleep sets only ever contain currently-enabled
-server-receiver deliveries (independent path actions never consume
-their channels, so they stay enabled), and equal keys have identical
-continuations.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.consistency.atomicity import check_atomicity
-from repro.errors import ReproError
 from repro.sim.events import OperationRecord
 from repro.sim.network import World
-from repro.sim.process import ClientProcess
 
 ChannelKey = Tuple[str, str]
 HistoryChecker = Callable[[list], bool]
-
-_EMPTY_SLEEP: frozenset = frozenset()
 
 #: Longest delivery path explored; a deeper one ends the search with
 #: ``exhausted=False``, like hitting ``max_states``.
 MAX_DEPTH = 400
 
 
-class ExplorationBudgetExceeded(ReproError):
-    """Raised internally when ``max_states`` is hit (caught by driver)."""
-
-
-class _FoundViolation(Exception):
-    """Raised internally at the first violation when stopping there."""
+class _StopSearch(Exception):
+    """Ends the search early: ``max_states`` or :data:`MAX_DEPTH` was
+    hit, or the first violation was found under
+    ``stop_at_first_violation``.  Caught once, in
+    :meth:`ScheduleExplorer.explore`, which marks the result
+    ``exhausted=False``."""
 
 
 @dataclass
@@ -152,10 +114,9 @@ class ExplorationResult:
         """The first violating ``(delivery schedule, history)``, if any.
 
         The schedule is exactly what :meth:`ScheduleExplorer.replay`
-        (or, without follow-ups, :func:`replay_schedule`) consumes and
-        what a ``repro.bundle/1`` explore artifact records (see
-        :func:`repro.triage.bundle.bundle_from_exploration`); DFS order
-        is deterministic, so "first" is stable across runs.
+        consumes and what a ``repro.bundle/1`` explore artifact records
+        (see :func:`repro.triage.bundle.bundle_from_exploration`); DFS
+        order is deterministic, so "first" is stable across runs.
         """
         return self.violations[0] if self.violations else None
 
@@ -215,13 +176,6 @@ class ScheduleExplorer:
     ``stop_at_first_violation`` turns the explorer into a
     counterexample finder: DFS returns as soon as one violating
     terminal execution is recorded.
-
-    ``por`` enables sleep-set partial-order reduction (see the module
-    docstring); it preserves every terminal history's verdict while
-    skipping interleavings that only permute commuting server
-    deliveries.  It is automatically disabled when the World carries a
-    channel adversary (whose per-delivery random fates break
-    commutation).
     """
 
     def __init__(
@@ -230,13 +184,11 @@ class ScheduleExplorer:
         max_states: int = 200_000,
         followups: Optional[Sequence[Tuple[int, Callable[[World], None]]]] = None,
         stop_at_first_violation: bool = False,
-        por: bool = False,
     ) -> None:
         self.checker = checker or (lambda ops: check_atomicity(ops).ok)
         self.max_states = max_states
         self.followups = list(followups or [])
         self.stop_at_first_violation = stop_at_first_violation
-        self.por = por
 
     def _fire_followups(self, state: World, base_ops: int) -> None:
         for i, (trigger, invoke) in enumerate(self.followups):
@@ -259,8 +211,8 @@ class ScheduleExplorer:
         world = world.fork()
         world.record_trace = False
         try:
-            _Search(self, world, result).visit(world, (), _EMPTY_SLEEP, None, None)
-        except (ExplorationBudgetExceeded, _FoundViolation):
+            _Search(self, world, result).visit(world, (), None, None)
+        except _StopSearch:
             result.exhausted = False
         return result
 
@@ -297,31 +249,13 @@ class _Search:
     ) -> None:
         self.explorer = explorer
         self.result = result
-        #: key -> intersection of the sleep sets it was explored with.
-        self.visited: Dict[tuple, frozenset] = {}
+        self.visited: Set[tuple] = set()
         self.base_ops = len(world.operations)
-        self.por_active = explorer.por and world.adversary is None
-        self.client_pids = frozenset(
-            pid
-            for pid, process in world.processes.items()
-            if isinstance(process, ClientProcess)
-        )
-
-    def independent(self, a: ChannelKey, b: ChannelKey) -> bool:
-        # Commute iff the receivers are distinct servers (see the
-        # module docstring for the soundness argument).
-        client_pids = self.client_pids
-        return (
-            a[1] != b[1]
-            and a[1] not in client_pids
-            and b[1] not in client_pids
-        )
 
     def visit(
         self,
         state: World,
         path: Tuple[ChannelKey, ...],
-        sleep: frozenset,
         history: Optional[tuple],
         counts: Optional[Tuple[int, int]],
     ) -> None:
@@ -330,7 +264,6 @@ class _Search:
         pending operations (None at the root)."""
         explorer = self.explorer
         result = self.result
-        visited = self.visited
         explorer._fire_followups(state, self.base_ops)
         # Only an invocation (more operations) or a completion (fewer
         # pending) changes the history part of the key, and no edge can
@@ -340,25 +273,14 @@ class _Search:
         if now != counts:
             history = _history_key(operations)
         key = _state_key(state, history)
-        enabled = state.enabled_channels()
-        stored = visited.get(key)
-        if stored is None:
-            # Sleep sets are frozen: store the set itself, not a copy.
-            visited[key] = sleep
-            to_explore = [a for a in enabled if a not in sleep] if sleep else enabled
-            woken = None
-        else:
-            if stored <= sleep:
-                return  # an earlier visit explored a superset
-            woken = stored - sleep
-            visited[key] = stored & sleep
-            to_explore = [a for a in enabled if a in woken]
+        if key in self.visited:
+            return
+        self.visited.add(key)
         result.states_visited += 1
-        if result.states_visited > explorer.max_states:
-            raise ExplorationBudgetExceeded()
-        if len(path) > MAX_DEPTH:
-            raise ExplorationBudgetExceeded()
+        if result.states_visited > explorer.max_states or len(path) > MAX_DEPTH:
+            raise _StopSearch()
 
+        enabled = state.enabled_channels()
         if not enabled:
             result.executions_checked += 1
             if now[1]:
@@ -366,54 +288,28 @@ class _Search:
             if not explorer.checker(list(operations)):
                 result.violations.append((path, list(operations)))
                 if explorer.stop_at_first_violation:
-                    raise _FoundViolation()
+                    raise _StopSearch()
             return
-        por_active = self.por_active
-        if por_active:
-            # Actions already covered act as explored siblings.
-            covered = set(sleep)
-            if woken is not None:
-                covered.update(a for a in enabled if a not in woken)
-        last = len(to_explore) - 1
-        for index, key_choice in enumerate(to_explore):
+        last = len(enabled) - 1
+        for index, key_choice in enumerate(enabled):
             # The parent state is dead after its final branch, so the
             # last child mutates it in place instead of forking — on
             # non-branching chains this eliminates forking entirely.
             child = state if index == last else state.fork()
             child.deliver(*key_choice)
-            if por_active:
-                child_sleep = frozenset(
-                    a for a in covered if self.independent(a, key_choice)
-                )
-            else:
-                child_sleep = _EMPTY_SLEEP
-            self.visit(child, path + (key_choice,), child_sleep, history, now)
-            if por_active:
-                covered.add(key_choice)
+            self.visit(child, path + (key_choice,), history, now)
 
 
 def explore_all_schedules(
     build_and_invoke: Callable[[], World],
     checker: Optional[HistoryChecker] = None,
     max_states: int = 200_000,
-    por: bool = False,
 ) -> ExplorationResult:
     """Convenience driver: build a World with invocations, explore it.
 
     ``build_and_invoke`` returns a fresh World with every operation
     already invoked (concurrent from the start — the interesting case
-    for consistency).  ``por`` forwards to :class:`ScheduleExplorer`.
+    for consistency).
     """
-    explorer = ScheduleExplorer(checker=checker, max_states=max_states, por=por)
+    explorer = ScheduleExplorer(checker=checker, max_states=max_states)
     return explorer.explore(build_and_invoke())
-
-
-def replay_schedule(
-    build_and_invoke: Callable[[], World], path: Sequence[ChannelKey]
-) -> World:
-    """Re-execute a violating schedule for debugging.
-
-    A schedule found with follow-ups replays through
-    :meth:`ScheduleExplorer.replay` on an explorer holding them.
-    """
-    return ScheduleExplorer().replay(build_and_invoke, path)

@@ -53,7 +53,7 @@ class TestAdversaryConfig:
         adv = ChannelAdversary()
         assert adv.fate("a", "b", None) == "deliver"
         assert adv.pick_index(("a", "b"), 5) == 0
-        assert adv.allows("a", "b")
+        assert adv.partition_gate([("a", "b")]) == [("a", "b")]
 
 
 class TestPartitionGate:
@@ -96,14 +96,6 @@ class TestPartitionGate:
         assert handle.server_ids[0] not in endpoints
         assert handle.server_ids[1] not in endpoints
         assert enabled  # other servers still reachable
-
-    def test_as_filter_composition(self):
-        adv = ChannelAdversary()
-        adv.start_partition(Partition.isolate(["x"]))
-        combined = adv.as_filter().intersect(ChannelFilter.freeze_process("y"))
-        assert not combined.allows("x", "a")
-        assert not combined.allows("a", "y")
-        assert combined.allows("a", "b")
 
 
 class TestDropsDupsReorder:

@@ -8,8 +8,8 @@ crash-recovery, over-budget crashes — is exercised on every PR.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.faults.campaign import (
-    CAMPAIGN_ALGORITHMS,
     FAULT_SHAPES,
     FaultConfig,
     generate_fault_configs,
@@ -17,6 +17,7 @@ from repro.faults.campaign import (
     run_chaos_workload,
     write_report,
 )
+from repro.registers.catalog import build_client_system
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +85,13 @@ class TestCampaignSmoke:
 
     def test_every_algorithm_covered(self, smoke_report):
         counts = smoke_report.configs_per_algorithm()
-        assert set(counts) == set(CAMPAIGN_ALGORITHMS)
+        assert set(counts) == {"abd", "cas", "casgc"}
         assert all(count == len(FAULT_SHAPES) for count in counts.values())
+
+    def test_single_writer_algorithm_rejected(self):
+        # Only the MWMR-atomic catalog systems fit the campaign's checker.
+        with pytest.raises(ConfigurationError):
+            run_campaign(algorithms=("abd", "coded-swmr"), seeds=[0], cache=None)
 
     def test_report_roundtrip(self, smoke_report, tmp_path):
         path = tmp_path / "chaos.txt"
@@ -109,7 +115,7 @@ class TestConfigGeneration:
 
     def test_run_determinism(self):
         def run():
-            handle = CAMPAIGN_ALGORITHMS["abd"](5, 1, 6)
+            handle = build_client_system("abd", 5, 1, 6)
             config = FaultConfig(
                 name="det",
                 seed=5,

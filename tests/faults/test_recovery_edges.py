@@ -12,14 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.campaign import (
-    CAMPAIGN_ALGORITHMS,
-    FaultConfig,
-    FaultTimeline,
-    run_chaos_workload,
-)
+from repro.faults.campaign import FaultConfig, FaultTimeline, run_chaos_workload
 from repro.faults.recovery import CrashRecoverySchedule
 from repro.registers.abd import build_abd_system
+from repro.registers.catalog import build_client_system
 
 
 class TestScheduleEdges:
@@ -59,7 +55,7 @@ class TestChaosDriverEdges:
         """f+1 servers down with recoveries past max_ticks: the driver
         must give up with a diagnosis (not spin forever waiting on the
         recoveries) and count 2 crashes, 0 recoveries."""
-        handle = CAMPAIGN_ALGORITHMS["abd"](5, 1, 6)
+        handle = build_client_system("abd", 5, 1, 6)
         config = FaultConfig(name="edge", seed=0, expect_liveness=False)
         timeline = FaultTimeline(
             crash_events=(("s003", 5, 9_000), ("s004", 5, 9_000)),
@@ -77,7 +73,7 @@ class TestChaosDriverEdges:
     def test_crash_recovery_config_counts_both_sides(self):
         """The derived two-round schedule completes: every crash has
         its matching recovery fired and the workload stays live."""
-        handle = CAMPAIGN_ALGORITHMS["abd"](5, 1, 6)
+        handle = build_client_system("abd", 5, 1, 6)
         config = FaultConfig(
             name="edge",
             seed=3,

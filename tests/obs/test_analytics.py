@@ -13,9 +13,9 @@ from repro.obs.analytics import (
     downsample_series,
     format_analytics,
     max_concurrent_writes,
-    percentile,
     storage_envelope_bits,
 )
+from repro.obs.registry import percentile
 from repro.registers.catalog import build_client_system
 from repro.workload.generator import run_random_workload
 

@@ -20,14 +20,11 @@ import weakref
 import pytest
 
 from repro.faults.adversary import AdversaryConfig, ChannelAdversary, Partition
-from repro.faults.campaign import (
-    CAMPAIGN_ALGORITHMS,
-    generate_fault_configs,
-    run_chaos_workload,
-)
+from repro.faults.campaign import generate_fault_configs, run_chaos_workload
 from repro.obs.recorder import SimObserver
 from repro.obs.tracing import TRACE_TAIL_EVENTS, TraceCollector
 from repro.registers.cas import build_cas_system
+from repro.registers.catalog import MULTI_WRITER, build_client_system
 from repro.sim.events import Message
 from repro.sim.network import World
 from repro.sim.process import ClientProcess, ServerProcess
@@ -75,15 +72,16 @@ class CheckedObserver(SimObserver):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("algorithm", sorted(CAMPAIGN_ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(MULTI_WRITER))
 def test_grid_and_byzantine_band_match_rescan(algorithm, seed):
     configs = generate_fault_configs(1, [seed], byzantine=1)
     assert len(configs) > 10  # the ten shapes plus the Byzantine band
     kinds = collections.Counter()
     checked = 0
     for config in configs:
-        handle = CAMPAIGN_ALGORITHMS[algorithm](
-            5, 1, 6, byzantine_budget=config.resolved_byzantine_budget()
+        handle = build_client_system(
+            algorithm, 5, 1, 6,
+            byzantine_budget=config.resolved_byzantine_budget(),
         )
         observer = CheckedObserver(
             tracer=TraceCollector(max_events=TRACE_TAIL_EVENTS)
@@ -132,7 +130,7 @@ def _drive(world, handle, rng, ticks):
 
 
 def _faulty_world(algorithm, seed):
-    handle = CAMPAIGN_ALGORITHMS[algorithm](5, 1, 6)
+    handle = build_client_system(algorithm, 5, 1, 6)
     handle.world.adversary = ChannelAdversary(
         AdversaryConfig(
             drop_probability=0.1,
@@ -157,7 +155,7 @@ def _actual_step_counts(world):
     return world.step_count, world.obs.kinds["deliver"]
 
 
-@pytest.mark.parametrize("algorithm", sorted(CAMPAIGN_ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(MULTI_WRITER))
 def test_fork_mid_run_keeps_both_twins_exact(algorithm):
     handle = _faulty_world(algorithm, seed=3)
     world = handle.world

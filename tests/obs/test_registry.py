@@ -93,14 +93,10 @@ class TestTimeSeries:
         ts.record(5, 11)
         assert ts.points() == [(3, 12), (5, 11)]
         assert ts.max_value() == 12
-        assert ts.step_of_max() == 3
 
     def test_empty_series(self):
         ts = TimeSeries("storage")
-        assert ts.last() is None
         assert ts.max_value() is None
-        assert ts.min_value() is None
-        assert ts.step_of_max() is None
         assert len(ts) == 0
 
 

@@ -53,14 +53,13 @@ each delivery:
 * ``repro.sim.network`` makes no sort (3,534 before).
 
 Schedule exploration, as ``repro explore`` runs it by default
-(SWMR-ABD, N=3, f=1, 2-bit values, write || read, no partial-order
-reduction): 2,243 states, 18 distinct terminal states, 8,097
-deliveries and 5,873 forks.  Keyed on the step counter and absolute
-operation steps, the same space took 9,629 states, 672 terminals,
-21,927 deliveries and 12,971 forks; the figures in parentheses below
-were measured on that search.  Forks are copy-on-write, so a branch
-clones and digests only what its delivery changed; a fork that
-silently goes eager again fails it:
+(SWMR-ABD, N=3, f=1, 2-bit values, write || read): 2,243 states, 18
+distinct terminal states, 8,097 deliveries and 5,873 forks.  Keyed on
+the step counter and absolute operation steps, the same space took
+9,629 states, 672 terminals, 21,927 deliveries and 12,971 forks; the
+figures in parentheses below were measured on that search.  Forks are
+copy-on-write, so a branch clones and digests only what its delivery
+changed; a fork that silently goes eager again fails it:
 
 * ``Process.clone`` runs at most once per delivery (eager forks cloned
   every process: 64,855 calls);
@@ -91,11 +90,9 @@ silently goes eager again fails it:
 * the explorer rebuilds a key's history part only when the number of
   operations or of pending operations changed: 2,413 times in 8,098
   visits;
-* with sleep sets on, the same space takes 7,921 deliveries and
-  5,267 forks instead of 8,097 and 5,873, for the same 18 terminal
-  histories, though it visits 2,673 states (revisits that wake slept
-  actions count again); an explorer that ignores ``por`` does the
-  full work.
+* a revisit returns before ``World.enabled_channels`` is read, so it
+  runs once per state, 2,243 times (reading it at every visit made
+  8,098 calls).
 
 The atomicity checker, on an 800-operation ABD history (N=3, f=1,
 4-bit values, 2 writers, 2 readers, seed 5).  The interval
@@ -152,13 +149,14 @@ import repro.verification.explore as explore_module
 from repro.analysis.empirical import empirical_figure1
 from repro.consistency.atomicity import check_atomicity
 from repro.faults.adversary import ChannelAdversary
-from repro.faults.campaign import CAMPAIGN_ALGORITHMS, run_campaign
+from repro.faults.campaign import run_campaign
 from repro.obs.recorder import SimObserver
 from repro.obs.registry import Gauge, MetricsRegistry
 from repro.obs.tracing import TRACE_TAIL_EVENTS, TraceEvent
 from repro.registers.abd import ABDServer, build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
 from repro.registers.cas import CASServer, build_cas_system
+from repro.registers.catalog import build_client_system
 from repro.sim.channel import Channel
 from repro.sim.events import OperationRecord
 from repro.sim.network import World
@@ -282,7 +280,7 @@ def test_storage_is_read_only_where_state_changed(counts):
 
 def _channels_per_run() -> int:
     """Every client<->server channel a run can open."""
-    handle = CAMPAIGN_ALGORITHMS["abd"](N, F, VALUE_BITS)
+    handle = build_client_system("abd", N, F, VALUE_BITS)
     return 2 * N * (len(handle.writer_ids) + len(handle.reader_ids))
 
 
@@ -379,7 +377,7 @@ def _explore_world():
     return world
 
 
-def _explore_tally(por: bool) -> collections.Counter:
+def _explore_tally() -> collections.Counter:
     """Call counts over one exhaustive exploration of the explore config."""
     tally = collections.Counter()
     depth = [0]
@@ -427,6 +425,7 @@ def _explore_tally(por: bool) -> collections.Counter:
         for cls, attr, name in (
             (World, "deliver", "deliveries"),
             (World, "enqueue_message", "sends"),
+            (World, "enabled_channels", "enabled_reads"),
             (Process, "clone", "process_clones"),
             (Channel, "clone", "channel_clones"),
             (Channel, "__len__", "channel_len"),
@@ -453,7 +452,7 @@ def _explore_tally(por: bool) -> collections.Counter:
         )
         patch.setattr(explore_module, "_state_key", spy_key)
         with _collector_off(tally, "garbage"):
-            result = explore_all_schedules(build, max_states=100_000, por=por)
+            result = explore_all_schedules(build, max_states=100_000)
     assert result.exhausted and result.ok
     tally["states"] = result.states_visited
     tally["executions"] = result.executions_checked
@@ -463,14 +462,8 @@ def _explore_tally(por: bool) -> collections.Counter:
 
 @pytest.fixture(scope="module")
 def explore_counts():
-    """Call counts over one exhaustive exploration, no POR."""
-    return _explore_tally(por=False)
-
-
-@pytest.fixture(scope="module")
-def por_explore_counts():
-    """The same exploration with sleep-set partial-order reduction."""
-    return _explore_tally(por=True)
+    """Call counts over one exhaustive exploration."""
+    return _explore_tally()
 
 
 def test_exploration_work_is_unchanged(explore_counts):
@@ -480,11 +473,8 @@ def test_exploration_work_is_unchanged(explore_counts):
     assert explore_counts["forks"] == 5_873
 
 
-def test_sleep_sets_cut_deliveries_and_forks(explore_counts, por_explore_counts):
-    assert por_explore_counts["executions"] == explore_counts["executions"]
-    assert por_explore_counts["states"] == 2_673  # revisits that wake sleepers
-    assert por_explore_counts["deliveries"] == 7_921
-    assert por_explore_counts["forks"] == 5_267
+def test_explore_revisits_read_no_enabled_channels(explore_counts):
+    assert explore_counts["enabled_reads"] == explore_counts["states"] == 2_243
 
 
 def test_forks_clone_only_the_receivers(explore_counts):
@@ -513,9 +503,8 @@ def test_exploration_leaves_no_cyclic_garbage(explore_counts):
     assert explore_counts["garbage"] == 0
 
 
-def test_explorer_forks_clone_no_scheduler(explore_counts, por_explore_counts):
+def test_explorer_forks_clone_no_scheduler(explore_counts):
     assert explore_counts["scheduler_clones"] == 0
-    assert por_explore_counts["scheduler_clones"] == 0
 
 
 def test_forks_clone_only_pending_records(explore_counts):
@@ -611,7 +600,7 @@ def untraced_calls():
         world = _mid_operation_world()
         for _ in range(50):
             world.fork()
-        explore_all_schedules(_explore_world, max_states=1_500, por=True)
+        explore_all_schedules(_explore_world, max_states=1_500)
         with _collector_off(tally, "garbage"):
             report = run_campaign(
                 algorithms=("abd", "cas", "casgc"), n=N, f=F,

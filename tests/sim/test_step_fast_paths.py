@@ -9,7 +9,7 @@ Four pieces of per-step work skip what the step did not change:
   place, and consults the adversary's partition gate only while a
   partition is active, in one call for the whole key list;
 * ``ChannelAdversary.partition_gate`` filters that list in one pass
-  instead of one ``allows`` call per channel;
+  instead of one per-channel ``allows`` call (:func:`_allows`);
 * ``Partition.side_of``/``crosses`` read a pid -> group map built once.
 
 Each is checked here against the implementation it replaced, kept
@@ -55,6 +55,11 @@ class _RescanningRoundRobin(RoundRobinScheduler):
         raise SchedulerExhaustedError("no enabled channel")
 
 
+def _allows(adversary: ChannelAdversary, src: str, dst: str) -> bool:
+    """The old per-channel gate ``ChannelAdversary.allows``."""
+    return adversary.partition is None or not adversary.partition.crosses(src, dst)
+
+
 def _always_gated(world: World, channel_filter: Optional[ChannelFilter] = None):
     """The old ``enabled_channels``: rescan and sort every channel, then
     the per-channel partition gate on every key."""
@@ -66,7 +71,7 @@ def _always_gated(world: World, channel_filter: Optional[ChannelFilter] = None):
             if channel_filter.allows(*k, head_message=world.channels[k].peek())
         ]
     if world.adversary is not None:
-        keys = [k for k in keys if world.adversary.allows(*k)]
+        keys = [k for k in keys if _allows(world.adversary, *k)]
     return keys
 
 
@@ -225,7 +230,7 @@ def test_partition_gate_matches_allows_per_channel(partition):
     assert adversary.partition_gate(keys) == keys  # no partition: all open
     adversary.start_partition(partition)
     gated = adversary.partition_gate(keys)
-    assert gated == [k for k in keys if adversary.allows(*k)]
+    assert gated == [k for k in keys if _allows(adversary, *k)]
     assert gated is not keys
 
 

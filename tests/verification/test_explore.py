@@ -13,7 +13,6 @@ from repro.verification.explore import (
     ScheduleExplorer,
     _state_key,
     explore_all_schedules,
-    replay_schedule,
 )
 
 
@@ -195,6 +194,7 @@ class TestCounterexampleHunt:
         )
         result = explorer.explore(inversion_prefix_world())
         assert result.violations
+        assert not result.exhausted  # the search stopped at the violation
         path, ops = result.violations[0]
         reads = [op for op in ops if op.kind == "read"]
         assert [r.value for r in reads] == [2, 1]  # new then old
@@ -222,13 +222,13 @@ class TestCounterexampleHunt:
         ] == [(op.op_id, op.kind, op.value, op.is_complete) for op in ops]
 
     def test_every_terminal_schedule_replays(self):
-        """Without follow-ups, ``replay_schedule`` rebuilds each
-        terminal state the explorer reported."""
+        """Without follow-ups, a default ``ScheduleExplorer().replay``
+        rebuilds each terminal state the explorer reported."""
         explorer = ScheduleExplorer(checker=lambda ops: False)
         result = explorer.explore(swmr_write_read_world())
         assert result.exhausted and len(result.violations) == 18
         for path, ops in result.violations:
-            replayed = replay_schedule(swmr_write_read_world, path)
+            replayed = ScheduleExplorer().replay(swmr_write_read_world, path)
             assert not replayed.enabled_channels()
             assert [
                 (op.kind, op.value, op.is_complete) for op in replayed.operations

@@ -7,13 +7,13 @@ included), every operation's absolute ``invoke_step`` and
 ``response_step``, and, under a channel adversary, the adversary's RNG
 position, cap counters and partition.  The production explorer keys states on
 configuration and operation order instead of the clock, forks
-copy-on-write, steps its last child in place and may use sleep sets;
-none of that may change what the search finds.
+copy-on-write and steps its last child in place; none of that may
+change what the search finds.
 
 Both sides are compared through an abstraction computed here, from
 the histories alone: each operation's value and completion, and the
 set of pairs ``(a, b)`` with ``a.response_step < b.invoke_step``.
-With sleep sets on and off, ``ScheduleExplorer``
+``ScheduleExplorer``
 
 * reaches exactly the seed loop's set of ``(abstract history,
   verdict)`` pairs, violations included;
@@ -21,8 +21,8 @@ With sleep sets on and off, ``ScheduleExplorer``
   clock — (process digests, channel digests, abstract history,
   adversary decision state): ``executions_checked`` equals the number
   of those among the seed loop's terminals;
-* without sleep sets, visits exactly one state per distinct state up
-  to the clock that the seed loop reaches, and so no more states than
+* visits exactly one state per distinct state up to the clock that
+  the seed loop reaches, and so no more states than
   the seed loop.  A key that merges more (one that drops the
   adversary's state, or keeps only whether each operation completed)
   visits fewer.
@@ -31,7 +31,7 @@ The configurations are the ``repro explore`` default advanced five
 steps, coded SWMR with k=2 advanced nine, the inversion prefix with its follow-up read (its readers skip
 the write-back phase, ``read_write_back=False``: a seeded atomicity
 bug both sides must find), a write that completes before or after a
-follow-up invocation, ``test_por.py``'s adversarial write world,
+follow-up invocation, a write under a duplicating adversary,
 seeded random small configurations (SWMR-ABD or coded SWMR, an
 optional follow-up read and duplicating adversary, a random delivery
 prefix), each under about 1,500 concrete states, and multi-writer ABD
@@ -176,7 +176,7 @@ def _seed_explore(world, followups=(), checker=_checker):
     return len(visited), outcomes, abstract_states, terminals
 
 
-def _explore(world, followups=(), por=False, checker=_checker):
+def _explore(world, followups=(), checker=_checker):
     outcomes = set()
 
     def recording(ops) -> bool:
@@ -184,30 +184,26 @@ def _explore(world, followups=(), por=False, checker=_checker):
         outcomes.add((_abstract(ops), verdict))
         return verdict
 
-    result = ScheduleExplorer(
-        checker=recording, followups=followups, por=por
-    ).explore(world)
+    result = ScheduleExplorer(checker=recording, followups=followups).explore(
+        world
+    )
     assert result.exhausted
     return result, outcomes
 
 
 def _assert_agree(build, followups=(), checker=_checker):
-    """Both explorer modes against the seed loop; returns the seed
-    loop's state count and outcomes and the unreduced explorer result."""
+    """The explorer against the seed loop; returns the seed loop's
+    state count and outcomes and the explorer's result."""
     states, outcomes, abstract_states, terminals = _seed_explore(
         build(), followups, checker
     )
-    full = None
-    for por in (False, True):
-        result, found = _explore(build(), followups, por, checker)
-        assert found == outcomes, f"por={por}"
-        assert result.executions_checked == len(terminals), f"por={por}"
-        assert result.ok == all(verdict for _, verdict in outcomes)
-        if not por:
-            # One visit per state up to the clock: no more, no fewer.
-            assert result.states_visited == len(abstract_states) <= states
-            full = result
-    return states, outcomes, full
+    result, found = _explore(build(), followups, checker)
+    assert found == outcomes
+    assert result.executions_checked == len(terminals)
+    assert result.ok == all(verdict for _, verdict in outcomes)
+    # One visit per state up to the clock: no more, no fewer.
+    assert result.states_visited == len(abstract_states) <= states
+    return states, outcomes, result
 
 
 def _stepped_world():
@@ -285,7 +281,7 @@ def test_completion_order_against_a_followup_invocation():
 
 
 def _adversarial_world(seed: int):
-    """``test_por.py``'s adversarial write world, under ``seed``."""
+    """A write under a duplicating adversary seeded with ``seed``."""
     handle = build_swmr_abd_system(n=3, f=1, value_bits=2, num_readers=1)
     world = handle.world
     world.adversary = ChannelAdversary(
