@@ -54,6 +54,7 @@ from repro.lowerbound.theorem65 import run_theorem65_experiment
 from repro.lowerbound.theorem_b1 import run_theorem_b1_experiment
 from repro.registers.catalog import (
     ALGORITHM_NAMES,
+    EXPERIMENT_POPULATION,
     MULTI_WRITER,
     build_client_system,
 )
@@ -62,9 +63,7 @@ from repro.util.tables import format_table
 #: name -> builder(n, f, value_bits) for single-writer experiment
 #: drivers: one writer, one reader, CASGC at ``gc_depth=1``.
 ALGORITHMS: Dict[str, Callable] = {
-    name: partial(
-        build_client_system, name, num_writers=1, num_readers=1, gc_depth=1
-    )
+    name: partial(build_client_system, name, **EXPERIMENT_POPULATION)
     for name in ALGORITHM_NAMES
 }
 
@@ -473,14 +472,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             }
             for c in configs
         ]
-        docs: list = [None] * len(payloads)
-
-        def collect(index: int, doc: dict) -> None:
-            docs[index] = doc
-
-        run_tasks(
-            capture_trace_task, payloads,
-            jobs=args.jobs, chunk=args.chunk, on_result=collect,
+        docs = run_tasks(
+            capture_trace_task, payloads, jobs=args.jobs, chunk=args.chunk
         )
         for config, doc in zip(configs, docs):
             path = (

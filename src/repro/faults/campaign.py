@@ -45,7 +45,7 @@ from repro.obs.tracing import TraceCollector, TRACE_TAIL_EVENTS
 from repro.parallel.cache import RunCache
 from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.journal import CampaignJournal
-from repro.parallel.pool import DEFAULT_MAX_RETRIES, UNSET, run_tasks
+from repro.parallel.pool import DEFAULT_MAX_RETRIES, run_tasks
 from repro.parallel.stats import ENGINE_STATS
 from repro.registers.base import SystemHandle
 from repro.registers.catalog import MULTI_WRITER, build_client_system
@@ -957,6 +957,21 @@ class CampaignReport:
         }
 
 
+def campaign_builder_params(config: FaultConfig) -> dict:
+    """The :func:`build_client_system` keywords of a campaign run.
+
+    Two writers, two readers, CASGC at depth 2, plus the protocol's
+    Byzantine budget whenever ``config`` has a Byzantine band or an
+    explicit budget (an explicit 0 builds unprotected clients).  Chaos
+    bundles store this dict, so a replay rebuilds the campaign's system.
+    """
+    params = {"num_writers": 2, "num_readers": 2, "gc_depth": 2}
+    budget = config.resolved_byzantine_budget()
+    if budget or config.byzantine_count:
+        params["byzantine_budget"] = budget
+    return params
+
+
 def _campaign_task(payload: dict) -> dict:
     """One (algorithm, fault config) run, from a picklable payload.
 
@@ -970,7 +985,7 @@ def _campaign_task(payload: dict) -> dict:
         payload["n"],
         payload["f"],
         payload["value_bits"],
-        byzantine_budget=config.resolved_byzantine_budget(),
+        **campaign_builder_params(config),
     )
     if payload.get("telemetry"):
         handle.world.obs = SimObserver(
@@ -1012,7 +1027,12 @@ def campaign_task_payload(
 
 
 def campaign_task_key(payload: dict) -> str:
-    """Cache key for one campaign run: payload + code fingerprint."""
+    """Cache and journal key of one task: payload + code fingerprint.
+
+    Bundle replays (:mod:`repro.triage.replay`) key through here too;
+    their payloads carry ``task: "bundle-replay"``, so no replay shares
+    a key with a campaign run.
+    """
     return RunCache.key_for(
         {"schema": 1, "fingerprint": code_fingerprint(), **payload}
     )
@@ -1165,72 +1185,69 @@ def run_campaign(
         for algorithm in algorithms
         for config in configs
     ]
-    keys = [campaign_task_key(payload) for payload in tasks]
+    # Keys are hashed only for a store to look them up in or write to.
+    stores = [store for store in (journal, cache) if store is not None]
+    keys = [campaign_task_key(payload) for payload in tasks] if stores else []
     stats_before = ENGINE_STATS.snapshot()
 
-    # Slots start at the UNSET sentinel, not None: a cache miss returns
-    # None, and a (hypothetical) task result could itself be falsy, so
-    # "not yet filled" must be distinguishable from any payload value.
-    slots: List[dict] = [UNSET] * len(tasks)  # type: ignore[list-item]
+    # Each slot holds its decoded run once it lands; ``report.results``
+    # is the prefix emitted so far, in task order.
+    slots: List[Optional[ChaosRunResult]] = [None] * len(tasks)
     prefilled: set = set()
-    for index in range(len(tasks)):
-        for store in (journal, cache):
-            hit = store.get(keys[index]) if store is not None else None
+    for index, key in enumerate(keys):
+        for store in stores:
+            hit = store.get(key)
             if hit is None:
                 continue
             try:
-                ChaosRunResult.from_cache_dict(hit)
+                slots[index] = ChaosRunResult.from_cache_dict(hit)
             except ConfigurationError:
                 continue  # a damaged entry is a miss: the run re-executes
-            slots[index] = hit
             prefilled.add(index)
             break
-    pending = [i for i in range(len(tasks)) if i not in prefilled]
-
-    emitted = 0
+    pending = [i for i, slot in enumerate(slots) if slot is None]
     stopped = False
 
-    def emit_ready_prefix() -> bool:
-        """Stream progress for the contiguous completed prefix, in order.
+    def emit() -> bool:
+        """Report the contiguous landed prefix, in task order.
 
-        Returns True once an unacceptable run was emitted under
+        Returns True once an unacceptable run was reported under
         ``fail_fast`` — the engine's stop signal.
         """
-        nonlocal emitted, stopped
+        nonlocal stopped
+        results = report.results
         while (
             not stopped
-            and emitted < len(slots)
-            and slots[emitted] is not UNSET
+            and len(results) < len(slots)
+            and slots[len(results)] is not None
         ):
-            result = ChaosRunResult.from_cache_dict(slots[emitted])
+            index = len(results)
+            result = slots[index]
+            results.append(result)
             if progress is not None:
                 progress(
                     f"{result.algorithm}/{result.config.label()}: "
                     f"{result.verdict()}"
                     f"{'' if result.safety_ok else ' SAFETY VIOLATED'}"
-                    f"{' (cached)' if emitted in prefilled else ''}"
+                    f"{' (cached)' if index in prefilled else ''}"
                 )
-            emitted += 1
-            if fail_fast and not result.acceptable:
-                stopped = True
+            stopped = fail_fast and not result.acceptable
         return stopped
 
-    def complete(pending_pos: int, data: dict) -> None:
-        """Commit one finished run the moment it lands (any order)."""
+    def complete(pending_pos: int, data: dict) -> bool:
+        """Commit one run the moment it lands (any order); emit in order."""
         index = pending[pending_pos]
-        slots[index] = data
         if cache is not None and not data.get("quarantined"):
             cache.put(keys[index], data)
         if journal is not None:
             journal.record(keys[index], data)
-
-    def on_result(pending_pos: int, data: dict) -> bool:
-        return emit_ready_prefix()
+        slots[index] = ChaosRunResult.from_cache_dict(data)
+        return emit()
 
     def quarantine(pending_pos: int, payload: dict, attempts: int) -> dict:
         return quarantined_result(payload, attempts).to_cache_dict()
 
-    if not emit_ready_prefix() and pending:
+    if not emit() and pending:
         try:
             run_tasks(
                 _campaign_task,
@@ -1239,20 +1256,11 @@ def run_campaign(
                 chunk=chunk,
                 task_timeout=task_timeout,
                 max_retries=max_retries,
-                on_result=on_result,
                 on_complete=complete,
                 quarantine=quarantine,
             )
         except KeyboardInterrupt:
             report.interrupted = True
-
-    for data in slots:
-        if data is UNSET:
-            break
-        result = ChaosRunResult.from_cache_dict(data)
-        report.results.append(result)
-        if fail_fast and not result.acceptable:
-            break
     report.runtime = ENGINE_STATS.delta_since(stats_before)
     return report
 

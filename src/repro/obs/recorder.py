@@ -117,7 +117,6 @@ class SimObserver:
         # Instruments bound at first use (see the class docstring).
         self._sampling = None  # the per-action tuple, ``_bind_sampling``
         self._sending = None  # the per-send tuple, ``_bind_sending``
-        self._fault_gauges = None  # partitions started, heals
         self._actions: dict = {}  # action kind -> sim.actions.<kind>
         self._sent: dict = {}  # message kind -> sim.sent.<kind>
 
@@ -260,21 +259,6 @@ class SimObserver:
         max_series.record(step, max_bits)
         if self.tracer:
             self.tracer.on_storage(step, total_bits, max_bits)
-
-        adversary = getattr(world, "adversary", None)
-        if adversary is not None:
-            gauges = self._fault_gauges
-            if gauges is None:
-                reg = self.registry
-                gauges = self._fault_gauges = (
-                    reg.gauge("faults.partitions_started"),
-                    reg.gauge("faults.heals"),
-                )
-            started, heals = gauges
-            if adversary.partitions_started is not started.value:
-                started.set(adversary.partitions_started)
-            if adversary.heals is not heals.value:
-                heals.set(adversary.heals)
 
         if kind == "crash":
             self.spans.note_crash(record.src, step)

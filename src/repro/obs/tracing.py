@@ -600,19 +600,21 @@ def capture_trace_task(payload: dict) -> dict:
     the obs layer), so the worker pool can dispatch it by reference and
     multi-seed captures are byte-identical at any ``--jobs``.
     """
-    from repro.faults.campaign import FaultConfig, run_chaos_workload
+    from repro.faults.campaign import (
+        FaultConfig,
+        campaign_builder_params,
+        run_chaos_workload,
+    )
     from repro.obs.recorder import SimObserver
     from repro.registers.catalog import build_client_system
 
     config = FaultConfig.from_cache_dict(payload["config"])
-    builder_params = dict(payload.get("builder_params", {}))
     handle = build_client_system(
         payload["algorithm"],
         payload["n"],
         payload["f"],
         payload["value_bits"],
-        byzantine_budget=config.resolved_byzantine_budget(),
-        **builder_params,
+        **campaign_builder_params(config),
     )
     tracer = TraceCollector()
     observer = SimObserver(tracer=tracer)

@@ -4,14 +4,12 @@ Every fan-out in this repository — chaos campaigns, the Section 2
 sweeps, the measured Figure 1, shrinker rounds, ``repro metrics
 --runs`` and ``repro trace capture`` — goes through :func:`run_tasks`.
 Its contract is *byte-determinism*: for any task list, the result list
-(and every ``on_result`` callback) is identical whether the tasks ran
-serially, on 2 workers, or on 16 — worker completion order never leaks
-into output order.  That holds because
-
-* tasks are dispatched with their index attached,
-* results are collected keyed by that index, and
-* ``on_result`` fires only for the contiguous completed prefix, i.e.
-  in task order.
+is identical whether the tasks ran serially, on 2 workers, or on 16 —
+worker completion order never leaks into it, because tasks are
+dispatched with their index attached and results are slotted back by
+that index.  The one callback, ``on_complete(index, result)``, fires
+as each slot fills, in completion order; a caller that streams in
+task order (the campaign's progress lines) keeps its own cursor.
 
 Three mechanisms make the engine fast:
 
@@ -47,18 +45,19 @@ task executes the same pure function on the same payload.
   re-queued, uncharged.
 * **Task errors** are bugs, not pool failures: the first exception
   propagates once the batch has wound down (below).
-* **Cancellation.**  ``on_result`` returning a truthy value stops the
-  batch (the campaign's ``--fail-fast``), also by winding it down.
+* **Cancellation.**  ``on_complete`` returning a truthy value stops
+  the batch (the campaign's ``--fail-fast``), also by winding it down.
 * **Winding down.**  After a task error or a cancellation no further
-  chunk is dispatched and ``on_result`` no longer fires, but the
-  chunks in flight finish under their deadlines and land in their
-  slots.  The workers are healthy, so the pool is kept for the next
-  call: killing workers mid-chunk can deadlock ``Pool.terminate()``.
+  chunk is dispatched, but the chunks in flight finish under their
+  deadlines and land in their slots, each firing ``on_complete`` (a
+  journal records them).  The workers are healthy, so the pool is kept
+  for the next call: killing workers mid-chunk can deadlock
+  ``Pool.terminate()``.
 
 If the host forbids worker pools (sandboxed semaphores), or the pool
 was rebuilt more than ``_POOL_REBUILD_LIMIT`` times in one batch, the
-remaining slots run serially in-process — same results, same callback
-order — counted in ``parallel.fallbacks`` and warned once on stderr.
+remaining slots run serially in-process — same results — counted in
+``parallel.fallbacks`` and warned once on stderr.
 
 Task functions must be module-level (picklable by reference), task
 payloads picklable plain data, and neither may be mutated by the task
@@ -307,19 +306,18 @@ def run_tasks(
     fn: Callable[[T], R],
     payloads: Sequence[T],
     jobs: Optional[int] = None,
-    on_result: Optional[Callable[[int, R], Optional[bool]]] = None,
     chunk: Optional[int] = None,
     task_timeout: Optional[float] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    on_complete: Optional[Callable[[int, R], None]] = None,
+    on_complete: Optional[Callable[[int, R], Optional[bool]]] = None,
     quarantine: Optional[Callable[[int, T, int], R]] = None,
 ) -> List[R]:
     """Run ``fn`` over ``payloads``; return results in payload order.
 
-    ``on_result(index, result)`` fires in strict task order; a truthy
-    return value cancels the batch, and the slots never run stay
-    ``UNSET``.  ``on_complete(index, result)`` fires the moment a
-    slot fills, in completion order — the campaign journal's hook.
+    ``on_complete(index, result)`` fires the moment a slot fills, in
+    completion order, once per slot.  A truthy return value cancels the
+    batch: nothing more is dispatched, and the slots never run stay
+    ``UNSET``.
 
     With one job (or one task) and no timeout everything runs
     in-process: no subprocesses, no pickling.  Otherwise chunks of
@@ -337,28 +335,14 @@ def run_tasks(
     retry_budget = max(1, max_retries)
     workers = min(resolve_jobs(jobs), len(payloads))
     filled = 0
-    next_emit = 0
     stop = False
 
-    def emit_ready_prefix() -> None:
-        """Fire ``on_result`` for the contiguous done prefix, in order."""
-        nonlocal next_emit, stop
-        while (
-            not stop
-            and next_emit < len(slots)
-            and slots[next_emit] is not UNSET
-        ):
-            index = next_emit
-            next_emit += 1
-            if on_result is not None and on_result(index, slots[index]):
-                stop = True
-
     def fill(index: int, value: R) -> None:
-        nonlocal filled
+        nonlocal filled, stop
         slots[index] = value
         filled += 1
-        if on_complete is not None:
-            on_complete(index, value)
+        if on_complete is not None and on_complete(index, value):
+            stop = True
 
     def run_serially() -> None:
         """Fill every remaining slot in-process."""
@@ -367,7 +351,6 @@ def run_tasks(
                 return
             if slots[index] is UNSET:
                 fill(index, fn(payload))
-            emit_ready_prefix()
 
     def fall_back(key: str, why: str) -> List[R]:
         """Abandon the pool: finish the batch serially, observably."""
@@ -433,9 +416,8 @@ def run_tasks(
         )
         in_flight.append(flight)
 
-    def drain_done() -> bool:
-        """Move finished chunks into slots; True when anything landed."""
-        landed = False
+    def drain_done() -> None:
+        """Move finished chunks into slots."""
         while done:
             flight, rows = done.popleft()
             if flight in in_flight:
@@ -443,8 +425,6 @@ def run_tasks(
             for position, value in rows:
                 if slots[position] is UNSET:
                     fill(position, value)
-                    landed = True
-        return landed
 
     def drain_errors() -> None:
         """Retire the chunks whose task raised; keep the first error."""
@@ -502,9 +482,7 @@ def run_tasks(
             expired = [fl for fl in in_flight if now >= fl.deadline]
             died = bool(in_flight) and _worker_pids(pool) != pids
             drain_errors()
-            # Winding down, results still land but are not emitted.
-            if drain_done() and failure is None:
-                emit_ready_prefix()
+            drain_done()
             if failure is not None and not in_flight:
                 raise failure
             # A chunk that landed after the deadline check was in time.
@@ -535,7 +513,6 @@ def run_tasks(
                 elif unfilled:
                     # Blameless: the pool died around this chunk.
                     ready.append(unfilled)
-            emit_ready_prefix()
             if stop or filled >= len(payloads):
                 break
             pool = None

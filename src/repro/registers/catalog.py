@@ -29,6 +29,10 @@ MULTI_WRITER = ("abd", "cas", "casgc")
 #: All buildable algorithm names, in the order the CLI lists them.
 ALGORITHM_NAMES = ("abd", "swmr-abd", "cas", "casgc", "coded-swmr")
 
+#: Client population of the CLI's single-writer experiments (its
+#: ``ALGORITHMS`` table), and so of the systems ``repro explore`` bundles.
+EXPERIMENT_POPULATION = {"num_writers": 1, "num_readers": 1, "gc_depth": 1}
+
 
 def build_client_system(
     algorithm: str,

@@ -32,15 +32,18 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.faults.campaign import ChaosRunResult, FaultConfig, FaultTimeline
+from repro.faults.campaign import (
+    ChaosRunResult,
+    FaultConfig,
+    FaultTimeline,
+    campaign_builder_params,
+)
 from repro.parallel.fingerprint import code_fingerprint
+from repro.registers.catalog import EXPERIMENT_POPULATION
 from repro.workload.script import OpDecision, WorkloadScript
 
 #: Schema tag every bundle document carries.
 BUNDLE_SCHEMA = "repro.bundle/1"
-
-#: Client population the chaos campaign builds (the bundle default).
-CAMPAIGN_BUILDER_PARAMS = {"num_writers": 2, "num_readers": 2, "gc_depth": 2}
 
 
 def _required(data, key: str, where: str = ""):
@@ -266,20 +269,13 @@ def bundle_from_result(
             "result carries no fault timeline (cached under an old schema?); "
             "re-run the campaign to bundle it"
         )
-    builder_params = dict(CAMPAIGN_BUILDER_PARAMS)
-    if result.config.byzantine_count > 0:
-        # The replayed system must defend with the same protocol budget
-        # the campaign built, or the replay diverges.
-        builder_params["byzantine_budget"] = (
-            result.config.resolved_byzantine_budget()
-        )
     return ReproBundle(
         kind="chaos",
         algorithm=result.algorithm,
         n=n,
         f=f,
         value_bits=value_bits,
-        builder_params=builder_params,
+        builder_params=campaign_builder_params(result.config),
         fault_config=result.config,
         workload=WorkloadScript.record(result.workload),
         timeline=result.timeline,
@@ -320,7 +316,7 @@ def bundle_from_quarantine(
         n=n,
         f=f,
         value_bits=value_bits,
-        builder_params=dict(CAMPAIGN_BUILDER_PARAMS),
+        builder_params=campaign_builder_params(result.config),
         fault_config=result.config,
         num_ops=num_ops,
         max_ticks=max_ticks,
@@ -353,7 +349,8 @@ def bundle_from_exploration(
     inversion).  ``schedule`` is the violating delivery path from
     :meth:`~repro.verification.explore.ExplorationResult.counterexample`,
     prefixed with any deliveries that set up the exploration's start
-    state.
+    state.  ``builder_params`` defaults to the population ``repro
+    explore`` builds (:data:`~repro.registers.catalog.EXPERIMENT_POPULATION`).
     """
     return ReproBundle(
         kind="explore",
@@ -362,9 +359,7 @@ def bundle_from_exploration(
         f=f,
         value_bits=value_bits,
         builder_params=dict(
-            builder_params
-            if builder_params is not None
-            else {"num_writers": 1, "num_readers": 1, "gc_depth": 1}
+            EXPERIMENT_POPULATION if builder_params is None else builder_params
         ),
         workload=WorkloadScript.record(ops),
         schedule=tuple(schedule),

@@ -4,12 +4,13 @@ Replay is a pure function of the bundle's behavioral fields — the
 system is rebuilt through :mod:`repro.registers.catalog`, the chaos
 driver re-runs with the bundle's script and timeline overriding its
 seeded derivation, and the produced verdict is compared against the
-bundle's expected signature.  Everything runs through the same
-module-level task / payload / key triple the campaign uses, so replays
-fan out over the :mod:`repro.parallel` pool and hit the
-content-addressed :class:`~repro.parallel.cache.RunCache` (keyed by the
-**current** code fingerprint, so a source change re-executes instead of
-returning stale verdicts).
+bundle's expected signature.  Replays are module-level tasks on plain
+payloads like the campaign's, so they fan out over the
+:mod:`repro.parallel` pool and hit the content-addressed
+:class:`~repro.parallel.cache.RunCache` under the campaign's key
+function (:func:`~repro.faults.campaign.campaign_task_key`, which
+hashes the **current** code fingerprint, so a source change
+re-executes instead of returning stale verdicts).
 
 A replay under drifted code still runs — the bundle's recorded
 fingerprint is only compared to warn (``fingerprint_drift``) that a
@@ -27,6 +28,7 @@ from repro.faults.campaign import (
     ChaosRunResult,
     FaultConfig,
     FaultTimeline,
+    campaign_task_key,
     run_chaos_workload,
 )
 from repro.parallel.cache import RunCache
@@ -51,13 +53,6 @@ def replay_task_payload(bundle: ReproBundle) -> dict:
     return doc
 
 
-def replay_task_key(payload: dict) -> str:
-    """Cache key for one replay: payload + *current* code fingerprint."""
-    return RunCache.key_for(
-        {"schema": 1, "fingerprint": code_fingerprint(), **payload}
-    )
-
-
 def _replay_task(payload: dict) -> dict:
     """One bundle replay, from a picklable payload (pool-dispatchable)."""
     params = payload["params"]
@@ -70,27 +65,21 @@ def _replay_task(payload: dict) -> dict:
     )
     script = WorkloadScript.from_json_list(payload.get("workload", ()))
     if payload["kind"] == "chaos":
-        config = FaultConfig.from_cache_dict(payload["fault_config"])
         timeline_doc = payload.get("timeline")
-        if timeline_doc is None and len(script) == 0:
-            # Seeded-replay mode (quarantine bundles): no recorded
-            # script/timeline exists, so re-derive both from the seed —
-            # the campaign's own execution, hang included.
-            result = run_chaos_workload(
-                handle,
-                config,
-                num_ops=payload.get("num_ops") or 0,
-                max_ticks=payload.get("max_ticks", 60_000),
-            )
-        else:
-            result = run_chaos_workload(
-                handle,
-                config,
-                num_ops=len(script),
-                max_ticks=payload.get("max_ticks", 60_000),
-                script=script,
-                timeline=FaultTimeline.from_json_dict(timeline_doc),
-            )
+        # Seeded-replay mode (quarantine bundles): no recorded script or
+        # timeline exists, so the seed re-derives both — the campaign's
+        # own execution, hang included.  A script ignores ``num_ops``.
+        seeded = timeline_doc is None and len(script) == 0
+        result = run_chaos_workload(
+            handle,
+            FaultConfig.from_cache_dict(payload["fault_config"]),
+            num_ops=payload.get("num_ops") or 0,
+            max_ticks=payload.get("max_ticks", 60_000),
+            script=None if seeded else script,
+            timeline=(
+                None if seeded else FaultTimeline.from_json_dict(timeline_doc)
+            ),
+        )
         return {"kind": "chaos", "result": result.to_cache_dict()}
     # Explore counterexample: the recorded delivery schedule, with each
     # operation invoked once ``tick`` deliveries have been performed
@@ -174,7 +163,7 @@ def execute_bundle(
 ) -> ReplayOutcome:
     """Replay ``bundle`` and compare against its expected verdict."""
     payload = replay_task_payload(bundle)
-    key = replay_task_key(payload)
+    key = campaign_task_key(payload)
     data = cache.get(key) if cache is not None else None
     cached = data is not None
     if data is None:

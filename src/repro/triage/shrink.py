@@ -34,13 +34,13 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.faults.campaign import campaign_task_key
 from repro.parallel.cache import RunCache
 from repro.parallel.pool import run_tasks
 from repro.triage.bundle import ReproBundle
 from repro.triage.replay import (
     _replay_task,
     outcome_signature,
-    replay_task_key,
     replay_task_payload,
 )
 
@@ -156,7 +156,7 @@ class _Shrinker:
         answer is independent of jobs count and completion order.
         """
         payloads = [replay_task_payload(c) for c in candidates]
-        keys = [replay_task_key(p) for p in payloads]
+        keys = [campaign_task_key(p) for p in payloads]
         results: List[Optional[dict]] = [None] * len(payloads)
         if self.cache is not None:
             for i, key in enumerate(keys):

@@ -158,6 +158,37 @@ class TestRunCache:
         )
         assert progress and all(line.endswith("(cached)") for line in progress)
 
+    def test_half_warm_cache_streams_progress_in_task_order(self, tmp_path):
+        # Cache hits land before dispatch and pool runs in completion
+        # order; the campaign alone orders the stream.  With every other
+        # run cached and the rest on three workers, the progress lines
+        # are a cold serial run's, and exactly the cached runs say so.
+        cold = []
+        run_campaign(
+            cache=RunCache(str(tmp_path)), progress=cold.append, **self.SMALL
+        )
+        keys = [
+            campaign_mod.campaign_task_key(
+                campaign_task_payload(algorithm, config, 5, 1, 6, 3, 60_000)
+            )
+            for algorithm in self.SMALL["algorithms"]
+            for config in campaign_mod.generate_fault_configs(1, [0])
+        ]
+        assert len(keys) == len(cold) == 30
+        for key in keys[::2]:
+            os.remove(RunCache(str(tmp_path))._path(key))
+        warm = []
+        run_campaign(
+            jobs=3, cache=RunCache(str(tmp_path)), progress=warm.append,
+            **self.SMALL,
+        )
+        cached = " (cached)"
+        assert not any(line.endswith(cached) for line in cold)
+        assert [line.replace(cached, "") for line in warm] == cold
+        assert [
+            index for index, line in enumerate(warm) if line.endswith(cached)
+        ] == list(range(1, len(cold), 2))
+
     def test_fingerprint_change_invalidates(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FINGERPRINT_ENV, "code-version-a")
         cache = RunCache(str(tmp_path))

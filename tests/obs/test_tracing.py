@@ -234,16 +234,8 @@ class TestEndToEnd:
         ]
         outputs = {}
         for jobs in (1, 4):
-            docs = [None] * len(payloads)
-
-            def collect(index, doc):
-                docs[index] = doc
-
-            run_tasks(
-                capture_trace_task,
-                [dict(p) for p in payloads],
-                jobs=jobs,
-                on_result=collect,
+            docs = run_tasks(
+                capture_trace_task, [dict(p) for p in payloads], jobs=jobs
             )
             outputs[jobs] = json.dumps(docs, sort_keys=True, indent=2)
         assert outputs[1] == outputs[4]

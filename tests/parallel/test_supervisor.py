@@ -1,12 +1,12 @@
 """The engine's supervision contract: timeouts, retry, quarantine.
 
 Supervised ``run_tasks`` keeps the byte-determinism contract (results
-in task order, ``on_result`` over the contiguous prefix, ``on_complete``
-for every slot) while a hung task is killed at the per-run timeout and
-retried with backoff, a poison task is quarantined after
-``max_retries`` timed-out executions, and ``on_result`` can cancel the
-batch.  The hang tests use a real fork pool and real wall-clock
-timeouts — small ones, so the suite stays fast.
+in task order, ``on_complete`` once for every slot) while a hung task
+is killed at the per-run timeout and retried with backoff, a poison
+task is quarantined after ``max_retries`` timed-out executions, and a
+truthy ``on_complete`` return cancels the batch.  The hang tests use a
+real fork pool and real wall-clock timeouts — small ones, so the suite
+stays fast.
 """
 
 import os
@@ -95,17 +95,6 @@ class TestEquivalence:
         payloads = list(range(11))
         serial = run_tasks(square, payloads, jobs=1)
         assert run_tasks(square, payloads, jobs=jobs, chunk=chunk) == serial
-
-    def test_on_result_strict_order(self):
-        seen = []
-        run_tasks(
-            square,
-            list(range(12)),
-            jobs=3,
-            chunk=2,
-            on_result=lambda i, r: seen.append((i, r)),
-        )
-        assert seen == [(i, i * i) for i in range(12)]
 
     def test_on_complete_covers_every_slot(self):
         completed = []
@@ -236,6 +225,8 @@ class TestTimeoutRetryQuarantine:
 
 
 class TestCancellation:
+    """A truthy ``on_complete`` return on a result stops the batch."""
+
     def test_on_result_truthy_stops_serial(self):
         seen = []
 
@@ -244,7 +235,7 @@ class TestCancellation:
             return index == 2
 
         results = run_tasks(
-            square, list(range(8)), jobs=1, on_result=stop_at_two
+            square, list(range(8)), jobs=1, on_complete=stop_at_two
         )
         assert seen == [0, 1, 2]
         assert results[:3] == [0, 1, 4]
@@ -259,13 +250,15 @@ class TestCancellation:
             return index == 2
 
         results = run_tasks(
-            square, list(range(40)), jobs=2, chunk=1, on_result=stop_at_two
+            square, list(range(40)), jobs=2, chunk=1, on_complete=stop_at_two
         )
-        assert seen == [0, 1, 2]
+        # Slot 2 stops the batch; the chunks still in flight then land,
+        # each still reported once.
+        assert 2 in seen and len(seen) == len(set(seen))
         assert results[:3] == [0, 1, 4]
-        # Nothing is dispatched behind the stop signal (the chunks in
-        # flight finish), so the batch did not run to completion.
-        assert any(r is UNSET for r in results[3:])
+        # Nothing is dispatched behind the stop signal, so the batch did
+        # not run to completion.
+        assert any(r is UNSET for r in results)
         shutdown_pool()
 
 
@@ -285,7 +278,7 @@ class TestDegradation:
             list(range(6)),
             jobs=2,
             task_timeout=5.0,
-            on_result=lambda i, r: seen.append(i),
+            on_complete=lambda i, r: seen.append(i),
         )
         assert results == [i * i for i in range(6)]
         assert seen == list(range(6))

@@ -32,15 +32,21 @@ The same seed's telemetry (a ``SimObserver`` per run with a bounded
 trace tail; the ``telemetry`` tests) does only the work its output
 needs:
 
-* registry get-or-create calls stay within 3,000 (2,396 here): the
+* registry get-or-create calls stay within 3,000 (2,336 here): the
   observer binds the instruments it writes per action or send at
   their first use (a lookup by name per write made 98,247 calls);
-* ``Gauge.set`` runs at most 4,600 times (4,566 here): a gauge is not
-  re-set to the value it holds (5 sets per action made 35,390);
+* ``Gauge.set`` runs at most 4,600 times (4,491 here): a gauge is not
+  re-set to the value it holds (a set of each gauge per action makes
+  21,234);
 * ``TraceEvent`` objects are built only for the tail each run keeps,
   at most 64 per run (one per event made 16,050);
 * ``run_telemetry`` reads the counters without a
-  ``MetricsRegistry.snapshot()`` (it took 30, one per run).
+  ``MetricsRegistry.snapshot()`` (it took 30, one per run);
+* the campaign decodes each run once, 30
+  ``ChaosRunResult.from_cache_dict`` calls (decoding for the progress
+  stream and again for the report made 60);
+* with no cache or journal given, no ``campaign_task_key`` is hashed
+  (one key per run made 30).
 
 The measured Figure 1 over the benchmark's grid (ABD and CAS at
 (N, f) = (7, 3), (9, 4), (11, 5) and ν = 1, 2, 4, 6; 24 points,
@@ -142,6 +148,7 @@ import pickle
 import pytest
 
 import repro.consistency.atomicity as atomicity_module
+import repro.faults.campaign as campaign_module
 import repro.sim.clone as clone_module
 import repro.sim.network as network_module
 import repro.sim.scheduler as scheduler_module
@@ -149,7 +156,7 @@ import repro.verification.explore as explore_module
 from repro.analysis.empirical import empirical_figure1
 from repro.consistency.atomicity import check_atomicity
 from repro.faults.adversary import ChannelAdversary
-from repro.faults.campaign import run_campaign
+from repro.faults.campaign import ChaosRunResult, run_campaign
 from repro.obs.recorder import SimObserver
 from repro.obs.registry import Gauge, MetricsRegistry
 from repro.obs.tracing import TRACE_TAIL_EVENTS, TraceEvent
@@ -243,6 +250,15 @@ def counts():
             patch.setattr(
                 cls, attr, _counting(tally, name, cls.__dict__[attr], note)
             )
+        decode = ChaosRunResult.__dict__["from_cache_dict"].__func__
+        patch.setattr(
+            ChaosRunResult, "from_cache_dict",
+            classmethod(_counting(tally, "decodes", decode)),
+        )
+        patch.setattr(
+            campaign_module, "campaign_task_key",
+            _counting(tally, "task_keys", campaign_module.campaign_task_key),
+        )
         _count_sorts(patch, tally, scheduler_module, "scheduler_sorts")
         _count_sorts(patch, tally, network_module, "network_sorts")
         with _collector_off(tally, "garbage"):
@@ -318,6 +334,14 @@ def test_telemetry_takes_no_registry_snapshot(counts):
 
 def test_telemetry_campaign_leaves_no_cyclic_garbage(counts):
     assert counts["garbage"] == 0
+
+
+def test_telemetry_campaign_decodes_each_run_once(counts):
+    assert counts["decodes"] == 30
+
+
+def test_telemetry_campaign_hashes_no_key_without_a_store(counts):
+    assert counts["task_keys"] == 0
 
 
 #: The benchmark's measured Figure 1 grid.

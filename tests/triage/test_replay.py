@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.faults.campaign import campaign_task_key
 from repro.parallel.cache import RunCache
 from repro.parallel.fingerprint import FINGERPRINT_ENV
 from repro.triage.bundle import bundle_from_exploration
-from repro.triage.replay import execute_bundle, replay_task_key, replay_task_payload
+from repro.triage.replay import execute_bundle, replay_task_payload
 from repro.verification.explore import explore_all_schedules
 from repro.workload.script import OpDecision
 
@@ -73,7 +74,7 @@ def test_replay_key_ignores_metadata(monkeypatch):
     monkeypatch.setenv(FINGERPRINT_ENV, "pinned")
     bundle = failure_bundle(DEMO_CONFIG)
     renoted = replace(bundle, note="different note", fingerprint="other")
-    assert replay_task_key(replay_task_payload(bundle)) == replay_task_key(
+    assert campaign_task_key(replay_task_payload(bundle)) == campaign_task_key(
         replay_task_payload(renoted)
     )
 
