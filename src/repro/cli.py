@@ -170,7 +170,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         f"{args.algorithm} write||read, N={args.n}, f={args.f}: "
         f"{result.states_visited} states, "
         f"{result.executions_checked} distinct terminal states, "
-        f"exhausted={result.exhausted}"
+        f"exhausted={result.exhausted}, "
+        f"symmetry_order={result.symmetry_order}"
     )
     if result.violations:
         print(f"ATOMICITY VIOLATED in {len(result.violations)} execution(s)")

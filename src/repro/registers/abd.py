@@ -47,6 +47,9 @@ TAG_METADATA_BITS = 64
 class ABDServer(ServerProcess):
     """Stores the highest-tagged ``(tag, value)`` pair seen so far."""
 
+    #: Replies go to the sender; no handler reads its own id.
+    opaque_server_ids = True
+
     def __init__(self, pid: str, value_bits: int, initial_value: int = 0) -> None:
         super().__init__(pid)
         self.value_bits = value_bits
@@ -98,7 +101,13 @@ class _QuorumClient(ClientProcess):
     :class:`ABDReadClient` needs to confirm a completed write by
     ``b + 1`` matching responses.  Requires ``q + b <= N`` (i.e.
     ``b <= f``), enforced by :func:`build_abd_system`.
+
+    Servers are interchangeable here: a phase goes to every server and
+    counts distinct responders, so digests hold responder sets as
+    frozensets (:attr:`~repro.sim.process.Process.opaque_server_ids`).
     """
+
+    opaque_server_ids = True
 
     def __init__(
         self,
@@ -191,7 +200,7 @@ class ABDWriteClient(_QuorumClient):
         return (
             self.phase,
             self.phase_nonce,
-            tuple(sorted(self.responded)),
+            frozenset(self.responded),
             self.pending_value,
             self.max_tag.as_tuple(),
             self.pending_op_id,
@@ -326,12 +335,12 @@ class ABDReadClient(_QuorumClient):
         return (
             self.phase,
             self.phase_nonce,
-            tuple(sorted(self.responded)),
+            frozenset(self.responded),
             self.best_tag.as_tuple(),
             self.best_value,
             self.have_best,
             self.pending_op_id,
-            tuple(sorted(self.acks.items())),
+            frozenset(self.acks.items()),
             self.byz_detected,
             self.byz_unconfirmed,
         )

@@ -64,7 +64,7 @@ class SWMRWriteClient(_QuorumClient):
         return (
             self.phase,
             self.phase_nonce,
-            tuple(sorted(self.responded)),
+            frozenset(self.responded),
             self.seq,
             self.pending_op_id,
         )

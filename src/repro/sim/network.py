@@ -103,6 +103,10 @@ class InternTable(dict):
     def __init__(self) -> None:
         super().__init__()
         self.entries: List[tuple] = []
+        #: Relabelling of server ids -> the id of each entry's image
+        #: under it, in id order: the schedule explorer's symmetry memo
+        #: (:mod:`repro.verification.explore`), kept as long as the ids.
+        self.images: Dict[tuple, List[int]] = {}
 
     def intern(self, entry: tuple) -> int:
         """The id of ``entry``, assigning the next one if it is new."""
@@ -588,6 +592,11 @@ class World:
         starts a table of its own.
         """
         return tuple(self._digest_ids(())[0])
+
+    @property
+    def interned(self) -> InternTable:
+        """The intern table behind :meth:`config_ids`, shared with forks."""
+        return self._interned
 
     def _digest_ids(self, exclude: Collection[str]) -> Tuple[List[int], int]:
         """Interned ids of the process entries in pid order, then of the

@@ -61,6 +61,16 @@ class ProcessContext:
 class Process:
     """Base class for all simulated processes."""
 
+    #: True declares that this process uses server ids only as opaque
+    #: names: its handlers commute with every permutation of the server
+    #: ids, and its :meth:`state_digest` holds them only as plain
+    #: strings inside tuples and frozensets, never in a sorted order, so
+    #: relabelling a digest is a structural map.  When every process of
+    #: a World declares it (and no channel adversary is installed), the
+    #: schedule explorer keys each state on its smallest relabelling
+    #: (:mod:`repro.verification.explore`).  Off by default.
+    opaque_server_ids = False
+
     def __init__(self, pid: str) -> None:
         self.pid = pid
         self.failed = False

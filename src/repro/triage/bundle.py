@@ -174,15 +174,24 @@ class ReproBundle:
         tl = data.get("timeline")
         if fc is not None:
             _required(fc, "name", "fault_config.")  # the one field without a default
+        kind = _required(data, "kind")
+        workload = WorkloadScript.from_json_list(data.get("workload", ()))
+        if kind == "chaos" and tl is None and len(workload):
+            # A recorded workload replays against its recorded timeline;
+            # the one the seed derives can differ from it.
+            raise ConfigurationError(
+                "bundle field 'timeline' is missing or null: a chaos bundle "
+                "with a recorded workload needs its recorded fault timeline"
+            )
         return cls(
-            kind=_required(data, "kind"),
+            kind=kind,
             algorithm=_required(data, "algorithm"),
             n=_required(params, "n", "params."),
             f=_required(params, "f", "params."),
             value_bits=_required(params, "value_bits", "params."),
             builder_params=dict(data.get("builder_params", {})),
             fault_config=None if fc is None else FaultConfig.from_cache_dict(fc),
-            workload=WorkloadScript.from_json_list(data.get("workload", ())),
+            workload=workload,
             timeline=None if tl is None else FaultTimeline.from_json_dict(tl),
             schedule=tuple(
                 (pair[0], pair[1]) for pair in data.get("schedule", ())

@@ -58,17 +58,61 @@ and only the step counter used to keep those states apart.
 fixes every operation's value, completion and real-time precedence.
 A :data:`HistoryChecker` must decide on exactly those (the contract on
 :class:`ScheduleExplorer`); atomicity and regularity do.
+
+Server symmetry: one state per relabelling of the servers
+---------------------------------------------------------
+
+When every process of the explored World declares
+:attr:`~repro.sim.process.Process.opaque_server_ids` and no channel
+adversary is installed, the configuration part of the key is the
+smallest, over all ``N!`` permutations ``p`` of the server ids, of the
+sorted ids of ``p`` applied to every entry.  Relabelling an entry is a
+structural map over its tuples and frozensets (the declaring digests
+hold server-id sets as frozensets, so nothing needs re-sorting), and
+an entry's image under each permutation is built and interned once, in
+a memo that lives with the intern table (:attr:`InternTable.images`).
+A sorted tuple of ids is a set of entries, and entries carry their pid
+or channel key, so two states get one key iff one is a relabelling of
+the other.  This is sound for the same two reasons.
+
+*Relabelled states have relabelled continuations.*  A declaring
+process's handlers commute with a relabelling ``p``: delivering on
+``p(c)`` in ``p(S)`` reaches ``p`` of what delivering on ``c`` reaches
+in ``S``, and ``p(S)`` enables exactly ``p`` of the channels ``S``
+enables.  So every state reachable from ``p(S)`` is ``p`` of one
+reachable from ``S``, and a search that keeps one state per orbit
+still reaches every reachable state's orbit.
+
+*Relabelled states have equal verdicts.*  Operations name clients, not
+servers, so ``p`` leaves the history part of the key as it is, and
+one representative per orbit reaches every (history, verdict) pair.
+
+Nothing else is reduced.  Coded algorithms (coded SWMR, CAS, CASGC)
+do not declare it: server ``i`` holds code element ``i``, so their
+handlers do not commute with a relabelling.  An adversary's
+configuration and decision state name processes (lossy processes,
+partition sides, a Byzantine band), so relabelling a state need not
+relabel its future: every adversarial search keeps the unreduced key.
+A follow-up must treat servers alike too (invoking an operation at a
+client does).  Reported schedules are the delivery paths the search
+really took, so :meth:`ScheduleExplorer.replay` and explore bundles
+are unchanged.  :attr:`ExplorationResult.symmetry_order` records the
+group's order (``N!``, or 1 when unreduced).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from itertools import permutations
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.consistency.atomicity import check_atomicity
+from repro.errors import SimulationError
 from repro.sim.events import OperationRecord
-from repro.sim.network import World
+from repro.sim.network import InternTable, World
+from repro.sim.process import ServerProcess
 
 ChannelKey = Tuple[str, str]
 HistoryChecker = Callable[[list], bool]
@@ -93,15 +137,20 @@ class ExplorationResult:
     states_visited: int
     #: Terminal states checked: one per distinct terminal state key
     #: (configuration plus values and precedence), however many
-    #: schedules reach it.  Terminals that differ only in server or
-    #: client state count separately, so this can exceed the number of
-    #: distinct histories.
+    #: schedules reach it.  Under server symmetry the configuration is
+    #: taken up to a relabelling of the servers, so terminals that
+    #: differ only by one count once; terminals whose server or client
+    #: states differ otherwise count separately, so this can exceed the
+    #: number of distinct histories.
     executions_checked: int
     exhausted: bool  # True iff the full interleaving space was covered
     violations: List[Tuple[Tuple[ChannelKey, ...], list]] = field(
         default_factory=list
     )
     incomplete_terminals: int = 0  # quiesced with operations still pending
+    #: Order of the server-permutation group states were keyed up to:
+    #: ``N!`` under server symmetry, 1 when unreduced.
+    symmetry_order: int = 1
 
     @property
     def ok(self) -> bool:
@@ -137,19 +186,107 @@ def _history_key(ops: Sequence[OperationRecord]) -> tuple:
     )
 
 
-def _state_key(world: World, history: Optional[tuple] = None) -> tuple:
+_SCALARS = frozenset({int, bool, float, bytes, type(None)})
+
+
+def _relabel(value, mapping: Dict[str, str]):
+    """``value`` with every string renamed through ``mapping``: the
+    structural map a declaring digest admits (tuples, frozensets and
+    scalars only)."""
+    kind = type(value)
+    if kind is str:
+        return mapping.get(value, value)
+    if kind is tuple:
+        return tuple([_relabel(item, mapping) for item in value])
+    if kind is frozenset:
+        return frozenset([_relabel(item, mapping) for item in value])
+    if kind in _SCALARS:
+        return value
+    raise SimulationError(
+        f"cannot relabel a {kind.__name__} in a state digest: a process "
+        "that declares opaque_server_ids digests tuples, frozensets and "
+        "scalars only"
+    )
+
+
+class _ServerSymmetry:
+    """Keys one World family's configurations up to a relabelling of
+    its servers (module docstring).
+
+    ``images[p][i]`` is the interned id of entry ``i``'s image under
+    permutation ``p``.  The lists live in the table's memo, so each
+    image is built once per table, and they grow with it: interning an
+    image can add an entry, whose images are built in turn.
+    """
+
+    def __init__(self, table: InternTable, servers: Sequence[str]) -> None:
+        self.table = table
+        self.mappings = [
+            dict(zip(servers, image)) for image in permutations(servers)
+        ]
+        self.images = [
+            table.images.setdefault(tuple(sorted(mapping.items())), [])
+            for mapping in self.mappings
+        ]
+        self.covered = 0  # every image list holds this many entries
+
+    @classmethod
+    def of(cls, world: World) -> Optional["_ServerSymmetry"]:
+        """The symmetry of ``world``: None unless every process declares
+        opaque server ids, no adversary is installed and there are at
+        least two servers."""
+        processes = world.processes
+        if world.adversary is not None or not all(
+            process.opaque_server_ids for process in processes.values()
+        ):
+            return None
+        servers = sorted(
+            pid for pid, process in processes.items()
+            if isinstance(process, ServerProcess)
+        )
+        return cls(world.interned, servers) if len(servers) > 1 else None
+
+    def canonical(self, ids: Sequence[int]) -> Tuple[int, ...]:
+        """The smallest sorted image of ``ids`` over every permutation."""
+        if len(self.table.entries) != self.covered:
+            self._extend()
+        pick = itemgetter(*ids)  # a World has at least two processes
+        return tuple(min([sorted(pick(image)) for image in self.images]))
+
+    def _extend(self) -> None:
+        entries = self.table.entries
+        intern = self.table.intern
+        while True:
+            count = len(entries)
+            for mapping, image in zip(self.mappings, self.images):
+                while len(image) < len(entries):
+                    image.append(intern(_relabel(entries[len(image)], mapping)))
+            if len(entries) == count:
+                self.covered = count
+                return
+
+
+def _state_key(
+    world: World,
+    history: Optional[tuple] = None,
+    symmetry: Optional[_ServerSymmetry] = None,
+) -> tuple:
     """The precedence key of a state (see the module docstring):
     ``(config ids, history, adversary decision state)``.
 
-    The configuration part is :meth:`World.config_ids`, so keys compare
-    only within one World family (a World and its forks).  ``history``
-    is the history part when the caller knows it is unchanged.
+    The configuration part is :meth:`World.config_ids`, or its
+    canonical relabelling under ``symmetry``, so keys compare only
+    within one World family (a World and its forks).  ``history`` is
+    the history part when the caller knows it is unchanged.
     """
     if history is None:
         history = _history_key(world.operations)
     adversary = world.adversary
+    config = world.config_ids()
+    if symmetry is not None:
+        config = symmetry.canonical(config)
     return (
-        world.config_ids(),
+        config,
         history,
         None if adversary is None else adversary.state_digest(),
     )
@@ -176,6 +313,10 @@ class ScheduleExplorer:
     ``stop_at_first_violation`` turns the explorer into a
     counterexample finder: DFS returns as soon as one violating
     terminal execution is recorded.
+
+    When the explored World is symmetric in its servers (module
+    docstring), states are keyed up to a relabelling of the server
+    ids; the follow-ups must then name no server.
     """
 
     def __init__(
@@ -251,6 +392,9 @@ class _Search:
         self.result = result
         self.visited: Set[tuple] = set()
         self.base_ops = len(world.operations)
+        self.symmetry = _ServerSymmetry.of(world)
+        if self.symmetry is not None:
+            result.symmetry_order = len(self.symmetry.mappings)
 
     def visit(
         self,
@@ -272,7 +416,7 @@ class _Search:
         now = (len(operations), len(state.pending_operations()))
         if now != counts:
             history = _history_key(operations)
-        key = _state_key(state, history)
+        key = _state_key(state, history, self.symmetry)
         if key in self.visited:
             return
         self.visited.add(key)

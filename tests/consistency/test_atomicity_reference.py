@@ -5,9 +5,9 @@ without the interval decomposition, must agree with a straightforward
 (exponential) reference on every small history:
 enumerate each subset of incomplete writes to include, each permutation
 of the chosen operations, check real-time order and register legality.
-Hypothesis generates histories, and the exhaustive explorer supplies
-every terminal history of two small configurations, one of which
-violates atomicity.
+Hypothesis generates histories, and the seed explorer loop and the
+exhaustive explorer supply every terminal history of two small
+configurations, one of which violates atomicity.
 """
 
 from itertools import permutations
@@ -23,6 +23,7 @@ from tests.verification.test_explore import (
     inversion_prefix_world,
     swmr_write_read_world,
 )
+from tests.verification.test_seed_explorer_oracle import _abstract, _seed_explore
 
 
 def brute_force_atomic(ops, initial_value=0):
@@ -115,34 +116,56 @@ class TestAgainstBruteForce:
         )
 
 
-#: Explorer configurations: (build, follow-ups, terminal histories,
-#: violating ones).
+#: Explored configurations: (build, follow-ups, terminal states up to
+#: the clock and violating ones, then the same for the explorer, which
+#: keys them up to a relabelling of the servers as well).
 EXPLORED = {
-    "swmr-write-read": (swmr_write_read_world, [], 18, 0),
-    "inversion-prefix": (inversion_prefix_world, INVERSION_FOLLOWUPS, 81, 6),
+    "swmr-write-read": (swmr_write_read_world, [], (18, 0), (4, 0)),
+    "inversion-prefix": (
+        inversion_prefix_world, INVERSION_FOLLOWUPS, (81, 6), (25, 3)
+    ),
 }
+
+
+def _three_verdicts(ops) -> bool:
+    """The decomposed search's verdict, after the monolithic search and
+    the brute force agreed with it."""
+    verdict = check_atomicity(ops).ok
+    assert check_atomicity(ops, decompose=False).ok == verdict
+    assert brute_force_atomic(ops) == verdict
+    return verdict
 
 
 class TestExplorerHistories:
     @pytest.mark.parametrize("name", sorted(EXPLORED))
     def test_three_checkers_agree_on_every_terminal_history(self, name):
-        """The explorer's checker sees each terminal history once; the
-        decomposed and monolithic searches and the brute force give it
-        one verdict, and the explorer reports exactly the histories
-        that verdict rejects."""
-        build, followups, terminals, violating = EXPLORED[name]
+        """The decomposed and monolithic searches and the brute force
+        give one verdict to the history of every terminal state up to
+        the clock (the seed loop's terminals, one per class), and to
+        every history the explorer's checker sees; the explorer reports
+        exactly the histories that verdict rejects, and rejects the
+        same abstract histories as the seed loop."""
+        build, followups, seed_counts, explorer_counts = EXPLORED[name]
+        _, _, _, terminals = _seed_explore(
+            build(), followups, lambda ops: True, up_to_the_clock=True
+        )
+        rejected = [
+            _abstract(ops) for ops in terminals.values()
+            if not _three_verdicts(ops)
+        ]
+        assert (len(terminals), len(rejected)) == seed_counts
+
         verdicts = []
 
         def recording(ops) -> bool:
-            verdict = check_atomicity(ops).ok
-            assert check_atomicity(ops, decompose=False).ok == verdict
-            assert brute_force_atomic(ops) == verdict
-            verdicts.append(verdict)
-            return verdict
+            verdicts.append(_three_verdicts(ops))
+            return verdicts[-1]
 
         result = ScheduleExplorer(
             checker=recording, followups=followups, max_states=50_000
         ).explore(build())
         assert result.exhausted
-        assert len(verdicts) == result.executions_checked == terminals
-        assert verdicts.count(False) == len(result.violations) == violating
+        assert len(verdicts) == result.executions_checked
+        assert verdicts.count(False) == len(result.violations)
+        assert (len(verdicts), verdicts.count(False)) == explorer_counts
+        assert {_abstract(ops) for _, ops in result.violations} == set(rejected)

@@ -109,7 +109,9 @@ class TestNewCommands:
     def test_explore(self, capsys):
         assert main(["explore", "--max-states", "50000"]) == 0
         out = capsys.readouterr().out
-        assert "exhausted=True" in out
+        # `make explore-all` matches ": <states> states, " and the flag.
+        assert ": 455 states, " in out
+        assert "exhausted=True, symmetry_order=6" in out
         assert "atomic in every explored execution" in out
 
     def test_explore_budget(self, capsys):

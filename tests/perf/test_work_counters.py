@@ -59,11 +59,14 @@ each delivery:
 * ``repro.sim.network`` makes no sort (3,534 before).
 
 Schedule exploration, as ``repro explore`` runs it by default
-(SWMR-ABD, N=3, f=1, 2-bit values, write || read): 2,243 states, 18
-distinct terminal states, 8,097 deliveries and 5,873 forks.  Keyed on
-the step counter and absolute operation steps, the same space took
-9,629 states, 672 terminals, 21,927 deliveries and 12,971 forks; the
-figures in parentheses below were measured on that search.  Forks are
+(SWMR-ABD, N=3, f=1, 2-bit values, write || read): 455 states, 4
+distinct terminal states, 1,663 deliveries and 1,213 forks, keyed up to
+a relabelling of the three servers.  Keyed on each concrete
+configuration the same space took 2,243 states, 18 terminals, 8,097
+deliveries and 5,873 forks; keyed on the step counter and absolute
+operation steps as well, 9,629 states, 672 terminals, 21,927
+deliveries and 12,971 forks; the figures in parentheses below were
+measured on that search unless they say otherwise.  Forks are
 copy-on-write, so a branch clones and digests only what its delivery
 changed; a fork that silently goes eager again fails it:
 
@@ -75,7 +78,7 @@ changed; a fork that silently goes eager again fails it:
   ``Channel.__len__`` calls);
 * top-level process ``state_digest`` calls stay within two per visit
   (re-digesting every process made 109,640 calls);
-* ``Channel.state_digest`` calls stay within deliveries (3,961 here):
+* ``Channel.state_digest`` calls stay within deliveries (843 here):
   a channel the World does not own is digested once, like a process
   (re-digesting every non-empty channel made 27,870 calls);
 * ``World.fork`` makes no ``copy.deepcopy`` call (the deepcopy fork
@@ -84,21 +87,27 @@ changed; a fork that silently goes eager again fails it:
   use, so the explorer, which never steps, makes no
   ``RoundRobinScheduler.clone`` call (an eager clone made 5,873);
 * forks share completed operation records: ``OperationRecord.clone``
-  runs once per pending record at a fork, 9,457 times (cloning every
-  record made 11,746);
+  runs once per pending record at a fork, 1,952 times (9,457 on the
+  unreduced search; cloning every record made 11,746);
 * ``clone_instance_state`` copies ``__dict__`` in one call and
   re-clones only attributes that are neither atomic nor share-safe:
-  27,471 ``clone_state_value`` calls (one per attribute made 101,160);
+  5,649 ``clone_state_value`` calls (27,471 unreduced; one per
+  attribute made 101,160);
 * every state key's configuration part is a flat tuple of interned
-  ints, one key per visit (8,098), from an intern table of 41 entries
+  ints, one key per visit (1,664), from an intern table of 41 entries
   (nested digest tuples made 0 int keys; a fork that starts its own
-  table splits the space into 40,812 states);
+  table splits the space into 40,812 states).  The unreduced search
+  interned the same 41: the images of the visited entries under the
+  six relabellings are exactly the entries of every reachable state;
 * the explorer rebuilds a key's history part only when the number of
-  operations or of pending operations changed: 2,413 times in 8,098
-  visits;
+  operations or of pending operations changed: 451 times in 1,664
+  visits (2,413 in 8,098 unreduced);
 * a revisit returns before ``World.enabled_channels`` is read, so it
-  runs once per state, 2,243 times (reading it at every visit made
-  8,098 calls).
+  runs once per state, 455 times (reading it at every visit made
+  1,664 calls).
+
+A coded-SWMR write || read search is not reduced (server ``i`` holds
+code element ``i``): 2,555 states, symmetry order 1.
 
 The atomicity checker, on an 800-operation ABD history (N=3, f=1,
 4-bit values, 2 writers, 2 readers, seed 5).  The interval
@@ -163,7 +172,7 @@ from repro.obs.tracing import TRACE_TAIL_EVENTS, TraceEvent
 from repro.registers.abd import ABDServer, build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
 from repro.registers.cas import CASServer, build_cas_system
-from repro.registers.catalog import build_client_system
+from repro.registers.catalog import EXPERIMENT_POPULATION, build_client_system
 from repro.sim.channel import Channel
 from repro.sim.events import OperationRecord
 from repro.sim.network import World
@@ -480,6 +489,7 @@ def _explore_tally() -> collections.Counter:
     assert result.exhausted and result.ok
     tally["states"] = result.states_visited
     tally["executions"] = result.executions_checked
+    tally["symmetry_order"] = result.symmetry_order
     tally["interned"] = len(roots[0]._interned)
     return tally
 
@@ -491,14 +501,31 @@ def explore_counts():
 
 
 def test_exploration_work_is_unchanged(explore_counts):
-    assert explore_counts["states"] == 2_243
-    assert explore_counts["executions"] == 18
-    assert explore_counts["deliveries"] == 8_097
-    assert explore_counts["forks"] == 5_873
+    assert explore_counts["states"] == 455
+    assert explore_counts["executions"] == 4
+    assert explore_counts["deliveries"] == 1_663
+    assert explore_counts["forks"] == 1_213
+    assert explore_counts["symmetry_order"] == 6
+
+
+def test_coded_swmr_exploration_is_not_reduced():
+    def build():
+        handle = build_client_system(
+            "coded-swmr", EXPLORE_N, EXPLORE_F, EXPLORE_VALUE_BITS,
+            **EXPERIMENT_POPULATION,
+        )
+        world = handle.world
+        world.invoke_write(handle.writer_ids[0], EXPLORE_VALUE)
+        world.invoke_read(handle.reader_ids[0])
+        return world
+
+    result = explore_all_schedules(build, max_states=100_000)
+    assert result.exhausted and result.ok
+    assert (result.states_visited, result.symmetry_order) == (2_555, 1)
 
 
 def test_explore_revisits_read_no_enabled_channels(explore_counts):
-    assert explore_counts["enabled_reads"] == explore_counts["states"] == 2_243
+    assert explore_counts["enabled_reads"] == explore_counts["states"] == 455
 
 
 def test_forks_clone_only_the_receivers(explore_counts):
@@ -533,11 +560,11 @@ def test_explorer_forks_clone_no_scheduler(explore_counts):
 
 def test_forks_clone_only_pending_records(explore_counts):
     assert explore_counts["record_clones"] == explore_counts["pending_copied"]
-    assert explore_counts["record_clones"] == 9_457
+    assert explore_counts["record_clones"] == 1_952
 
 
 def test_explore_clones_copy_only_mutable_attributes(explore_counts):
-    assert explore_counts["clone_state_values"] == 27_471
+    assert explore_counts["clone_state_values"] == 5_649
 
 
 def test_explore_keys_are_flat_interned_ids(explore_counts):
@@ -547,7 +574,7 @@ def test_explore_keys_are_flat_interned_ids(explore_counts):
 
 
 def test_explore_rebuilds_history_key_only_when_operations_change(explore_counts):
-    assert explore_counts["history_keys"] == 2_413  # of 8,098 visits
+    assert explore_counts["history_keys"] == 451  # of 1,664 visits
 
 
 def _mid_operation_world() -> World:

@@ -82,6 +82,22 @@ def test_each_field_deletion_loads_or_raises_a_typed_error(path):
             assert ".".join(field) in str(exc), (field, exc)
 
 
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_null_timeline_with_a_recorded_workload_raises_a_typed_error(path):
+    """A chaos bundle replays its recorded workload against its
+    recorded timeline, and the seed can derive a different one, so a
+    null ``timeline`` beside a workload is refused at load (replaying
+    it raised a bare ``AttributeError``)."""
+    doc = json.loads(path.read_text())
+    assert doc["kind"] == "chaos" and doc["workload"]
+    doc["timeline"] = None
+    with pytest.raises(ConfigurationError, match="'timeline'"):
+        ReproBundle.from_json_dict(doc)
+    # Seeded mode (no workload, no timeline) still loads.
+    doc["workload"] = []
+    assert ReproBundle.from_json_dict(doc).timeline is None
+
+
 def test_chaos_bundle_requires_fault_config():
     with pytest.raises(ConfigurationError):
         ReproBundle(

@@ -6,11 +6,16 @@ import pytest
 
 from repro.consistency.atomicity import check_atomicity
 from repro.consistency.regularity import check_regular
-from repro.registers.abd import build_abd_system
+from repro.errors import SimulationError
+from repro.faults.adversary import AdversaryConfig, ChannelAdversary
+from repro.registers.abd import ABDReadClient, build_abd_system
 from repro.registers.abd_swmr import build_swmr_abd_system
+from repro.registers.coded_swmr import build_coded_swmr_system
 from repro.sim.snapshot import world_digest
 from repro.verification.explore import (
     ScheduleExplorer,
+    _relabel,
+    _ServerSymmetry,
     _state_key,
     explore_all_schedules,
 )
@@ -51,8 +56,9 @@ class TestExhaustivePositive:
         atomic and regular (a single read cannot witness an inversion).
 
         This is exhaustive: the complete interleaving space of the
-        configuration, a few thousand states up to the clock and more
-        than ten distinct terminal states.
+        configuration, 455 states up to the clock and a relabelling of
+        the servers (2,243 without the relabelling) and 4 distinct
+        terminal states (18).
         """
         result = explore_all_schedules(
             swmr_write_read_world,
@@ -62,8 +68,9 @@ class TestExhaustivePositive:
         )
         assert result.exhausted
         assert result.ok
-        assert result.states_visited > 1_000
-        assert result.executions_checked >= 10
+        assert result.states_visited == 455
+        assert result.executions_checked == 4
+        assert result.symmetry_order == 6
         assert result.incomplete_terminals == 0
 
 
@@ -146,6 +153,54 @@ class TestStateKey:
         assert before_key != after_key
 
 
+class _NamingReader(ABDReadClient):
+    """An ABD reader that does not declare opaque server ids."""
+
+    opaque_server_ids = False
+
+
+class TestServerSymmetry:
+    def test_mirrored_configurations_share_a_key(self):
+        """The write's first message delivered to s000, or to s001:
+        two configurations, one up to swapping the two servers."""
+        root = swmr_write_read_world()
+        symmetry = _ServerSymmetry.of(root)
+        assert len(symmetry.mappings) == 6
+        left = _deliver(root.fork(), ("w000", "s000"))
+        right = _deliver(root.fork(), ("w000", "s001"))
+        assert _state_key(left) != _state_key(right)
+        assert _state_key(left, symmetry=symmetry) == _state_key(
+            right, symmetry=symmetry
+        )
+        # Delivering to s000 twice is no relabelling of either.
+        both = _deliver(left.fork(), ("r000", "s000"))
+        apart = _deliver(right.fork(), ("r000", "s000"))
+        assert _state_key(both, symmetry=symmetry) != _state_key(
+            apart, symmetry=symmetry
+        )
+
+    def test_only_declared_reliable_worlds_are_reduced(self):
+        coded = build_coded_swmr_system(n=3, f=1, value_bits=2).world
+        adversarial = swmr_write_read_world()
+        adversarial.adversary = ChannelAdversary(AdversaryConfig(), seed=0)
+        naming = build_swmr_abd_system(n=3, f=1, value_bits=2).world
+        naming.add_process(_NamingReader("r009", ("s000", "s001", "s002"), 2))
+        for world in (coded, adversarial, naming):
+            assert _ServerSymmetry.of(world) is None
+            assert ScheduleExplorer().explore(world).symmetry_order == 1
+        assert _ServerSymmetry.of(swmr_write_read_world()) is not None
+
+    def test_relabel_maps_tuples_and_frozensets_only(self):
+        mapping = {"s000": "s001", "s001": "s000"}
+        entry = ("w000", False, (1, frozenset({"s000", "s002"}), (1, "w000")))
+        assert _relabel(entry, mapping) == (
+            "w000", False, (1, frozenset({"s001", "s002"}), (1, "w000"))
+        )
+        for value in (["s000"], {"s000": 1}, {"s000"}):
+            with pytest.raises(SimulationError):
+                _relabel(("w000", value), mapping)
+
+
 def _explore_outcome(world):
     """States, terminals, exhaustion and every reported history."""
     result = ScheduleExplorer(checker=lambda ops: False).explore(world)
@@ -171,7 +226,7 @@ class TestInternTableLifetime:
         identical results, and a second pass interns nothing new."""
         world = swmr_write_read_world()
         first = _explore_outcome(world)
-        assert first[:3] == (2_243, 18, True) and len(first[3]) == 18
+        assert first[:3] == (455, 4, True) and len(first[3]) == 4
         table = len(world._interned)
         assert _explore_outcome(world) == first
         assert len(world._interned) == table
@@ -226,7 +281,7 @@ class TestCounterexampleHunt:
         rebuilds each terminal state the explorer reported."""
         explorer = ScheduleExplorer(checker=lambda ops: False)
         result = explorer.explore(swmr_write_read_world())
-        assert result.exhausted and len(result.violations) == 18
+        assert result.exhausted and len(result.violations) == 4
         for path, ops in result.violations:
             replayed = ScheduleExplorer().replay(swmr_write_read_world, path)
             assert not replayed.enabled_channels()
