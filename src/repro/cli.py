@@ -158,6 +158,11 @@ def _cmd_assumptions(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.verification.explore import explore_all_schedules
 
+    if args.max_states < 1:
+        print("error: --max-states must be >= 1 (a search that visits no "
+              "state proves nothing)")
+        return 3  # usage error, as for chaos
+
     def build():
         handle = ALGORITHMS[args.algorithm](args.n, args.f, args.value_bits)
         w = handle.world
@@ -253,6 +258,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         print("error: --seeds must be >= 1 (a zero-run campaign proves nothing)")
         return 3  # usage error (2 is reserved for safety violations)
+    if args.ops < 1:
+        print("error: --ops must be >= 1 (a run that invokes nothing proves "
+              "nothing)")
+        return 3
     if args.byzantine < 0:
         print("error: --byzantine must be >= 0")
         return 3

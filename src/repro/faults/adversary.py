@@ -378,12 +378,13 @@ class ChannelAdversary:
         """
         return (self.rng.getstate(), self.drops, self.duplicates, self.partition)
 
-    # -- partition gate (consulted by World.enabled_channels) ----------------
+    # -- partition gate (consulted by World.enabled_keys) --------------------
 
-    def partition_gate(self, keys: List[ChannelKey]) -> List[ChannelKey]:
-        """The channel keys no active partition cuts, in order, in one pass.
+    def partition_gate(self, keys: Iterable[ChannelKey]) -> List[ChannelKey]:
+        """The channel keys no active partition cuts, in the order given,
+        in one pass.
 
-        ``World.enabled_channels`` calls this once per step while a
+        ``World.enabled_keys`` calls this once per step while a
         partition is active; with none, every key passes.
         """
         if self.partition is None:

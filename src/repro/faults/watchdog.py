@@ -111,9 +111,10 @@ def diagnose_stall(
 ) -> Diagnosis:
     """Classify why ``world`` cannot (or did not) make progress."""
     pending = tuple(op.op_id for op in world.pending_operations())
-    nonempty = world.undelivered_channels()
-    enabled = set(world.enabled_channels(channel_filter))
-    blocked = tuple(k for k in nonempty if k not in enabled)
+    nonempty = world.undelivered_keys()
+    enabled = world.enabled_keys(channel_filter)
+    # The keys come in hash order; the diagnosis records them sorted.
+    blocked = tuple(sorted(k for k in nonempty if k not in enabled))
     undelivered = sum(len(world.channels[k]) for k in nonempty)
     live = tuple(s.pid for s in world.servers() if not s.failed)
     adversary = world.adversary

@@ -6,33 +6,32 @@ comes entirely from the scheduler choosing *when* each delivery action
 runs.
 
 Channels keep the World's incremental non-empty index themselves: a
-World's channel holds the World's sorted list of non-empty channel
-keys, and every mutation that crosses the empty/non-empty boundary
-inserts or deletes the channel's key there by ``bisect``, so
-``World.enabled_channels`` never has to rescan all channels.  The
-channel holds only the list, never the World, so a dropped World is
-freed by reference counting alone.  A standalone channel (no list) is
-a plain FIFO queue.
+World's channel holds the World's set of non-empty channel keys, adds
+its key when its queue becomes non-empty and discards it when the
+queue empties, so ``World.step`` never rescans or sorts the channels.
+The set has no order; a caller that reads one sorts a copy
+(``World.enabled_channels``).  The channel holds only the set, never
+the World, so a dropped World is freed by reference counting alone.
+A standalone channel (no set) is a plain FIFO queue.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional, Set, Tuple
 
 from repro.sim.events import Message
 
-#: A World's sorted list of non-empty channel keys ``(src, dst)``.
-KeyIndex = List[Tuple[str, str]]
+#: A World's set of non-empty channel keys ``(src, dst)``.
+KeyIndex = Set[Tuple[str, str]]
 
 
 class Channel:
     """FIFO queue of messages from ``src`` to ``dst``.
 
-    ``keys`` is the sorted non-empty index of the World that owns the
-    channel: the channel's key is in it exactly while the queue holds a
-    message.  ``None`` leaves the channel standalone.
+    ``keys`` is the non-empty index of the World that owns the channel:
+    the channel's key is in it exactly while the queue holds a message.
+    ``None`` leaves the channel standalone.
     """
 
     def __init__(
@@ -46,31 +45,19 @@ class Channel:
         self._queue: Deque[Message] = deque()
         self._keys = keys
 
-    def _update_index(self, nonempty: bool) -> None:
-        """Insert or delete this channel's key in the index (idempotent)."""
-        key = (self.src, self.dst)
-        keys = self._keys
-        index = bisect_left(keys, key)
-        present = index < len(keys) and keys[index] == key
-        if nonempty:
-            if not present:
-                keys.insert(index, key)
-        elif present:
-            del keys[index]
-
     def enqueue(self, message: Message) -> None:
         """Append a message to the tail of the channel."""
         queue = self._queue
         queue.append(message)
         if len(queue) == 1 and self._keys is not None:
-            self._update_index(True)
+            self._keys.add((self.src, self.dst))
 
     def dequeue(self) -> Message:
         """Pop the head message (caller checks non-emptiness)."""
         queue = self._queue
         message = queue.popleft()
         if not queue and self._keys is not None:
-            self._update_index(False)
+            self._keys.discard((self.src, self.dst))
         return message
 
     def dequeue_at(self, index: int) -> Message:
@@ -84,7 +71,7 @@ class Channel:
         message = queue[index]
         del queue[index]
         if not queue and self._keys is not None:
-            self._update_index(False)
+            self._keys.discard((self.src, self.dst))
         return message
 
     def peek(self) -> Optional[Message]:

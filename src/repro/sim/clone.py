@@ -16,7 +16,7 @@ the explicit *clone protocol* that copy uses, instead of deepcopy:
   copied; containers are rebuilt eagerly without memoisation (process
   state is tree-shaped by construction — no aliasing, no cycles).
 * classes mark themselves share-safe with ``__clone_shared__ = True``
-  (frozen dataclasses like ``Message``/``Tag``/``ActionRecord``,
+  (immutable records like ``Message``/``Tag``/``ActionRecord``,
   immutable singletons like ``GF2m``, read-only configuration objects
   like ``ReedSolomonCode``);
 * anything unrecognised falls back to ``copy.deepcopy`` (or an

@@ -1,13 +1,13 @@
 """Event and record types shared across the simulator.
 
-Everything here is a small immutable-ish dataclass; instances must be
+Everything here is a small immutable-ish record; instances must be
 deep-copyable because a World snapshot copies the full trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class Message:
         return f"Message({self.kind}{', ' if fields else ''}{fields})"
 
 
-@dataclass(frozen=True)
-class ActionRecord:
+class ActionRecord(NamedTuple):
     """One step of an execution.
 
     ``kind`` is one of ``"deliver"``, ``"invoke"``, ``"crash"``,
@@ -55,6 +54,9 @@ class ActionRecord:
     (a message destroyed in transit by a channel adversary).  After the
     i-th action the system is at point ``i`` (points are 0-indexed with
     point 0 the initial state, so action i moves point i-1 to point i).
+
+    A named tuple, not a frozen dataclass: every step builds one, and a
+    tuple is the cheapest immutable record to build.
     """
 
     step: int
@@ -63,7 +65,7 @@ class ActionRecord:
     dst: Optional[str] = None
     info: Optional[str] = None
 
-    #: Frozen: forked traces share ActionRecord instances.
+    #: Immutable: forked traces share ActionRecord instances.
     __clone_shared__ = True
 
 

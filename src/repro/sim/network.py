@@ -28,23 +28,30 @@ what it changes:
   ``Channel.clone``) the first time this World writes it.  The
   scheduler is shared the same way and cloned by :meth:`step` before
   its first selection.  ``fork()`` itself copies two dicts and the
-  channel index below (the one list mutated in place), and clones only
+  channel index below (the one set mutated in place), and clones only
   the pending operation records and the adversary.
-* ``enabled_channels()`` reads an always-sorted list of non-empty
-  channel keys.  Each channel this World owns holds that list (not
-  the World) and keeps its own key in it by ``bisect`` inserts and
-  deletes on enqueue/dequeue, so nothing is rescanned or re-sorted
-  per step.  The adversary's partition gate is consulted only while a
-  partition is active, once per call for the whole key list.  The
-  scheduler sees exactly the same sorted key list as before, so
-  schedules are byte-identical.
+* The non-empty channel index is a set of channel keys.  Each channel
+  this World owns holds that set (not the World), adds its own key
+  when its queue becomes non-empty and discards it when the queue
+  empties, so nothing is rescanned per step.  :meth:`step` hands the
+  set itself (or its filter- or partition-gated subset) to
+  ``Scheduler.select``, which reads it by membership only, so a step
+  copies and sorts nothing.  The adversary's partition gate is
+  consulted only while a partition is active, once per step for the
+  whole index.
+* Set order depends on ``PYTHONHASHSEED``, so it never reaches output:
+  every caller that reads an order gets a sorted view built on
+  demand (:meth:`enabled_channels` for the explorer's branch order,
+  :meth:`undelivered_channels`, the digests below), and the
+  round-robin scheduler registers new keys in sorted order.
+  Schedules, digests and reports are the same under any hash seed.
 * The state digest (:meth:`process_digests`,
-  :meth:`channel_digests`, :meth:`config_ids`) walks that non-empty
-  index.  Each digest entry is interned to a small int id in a table
-  shared by a World and its forks, and the id of every process and
-  channel this World does not own is memoised by object identity:
-  nobody can write such an object again, so it costs one identity
-  test and no hashing.
+  :meth:`channel_digests`, :meth:`config_ids`) walks the non-empty
+  index in key order.  Each digest entry is interned to a small int
+  id in a table shared by a World and its forks, and the id of every
+  process and channel this World does not own is memoised by object
+  identity: nobody can write such an object again, so it costs one
+  identity test and no hashing.
 * Nothing here makes a reference cycle: no object a World holds
   refers back to the World, so a World dropped by the explorer or a
   campaign is freed at once by reference counting, and the cyclic
@@ -65,6 +72,7 @@ from __future__ import annotations
 import copy
 from types import MappingProxyType
 from typing import (
+    AbstractSet,
     Callable,
     Collection,
     Dict,
@@ -72,6 +80,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -147,10 +156,10 @@ class World:
         self.operations: List[OperationRecord] = []
         self._next_op_id = 0
         self.record_trace = True
-        #: Keys of channels currently holding messages, always sorted.
-        #: Every channel this World owns holds this list and inserts or
-        #: deletes its own key in place, so it is never replaced.
-        self._nonempty: List[ChannelKey] = []
+        #: Keys of channels currently holding messages, in no order.
+        #: Every channel this World owns holds this set and adds or
+        #: discards its own key in place, so it is never replaced.
+        self._nonempty: Set[ChannelKey] = set()
         #: Sorted pids, all and by role (invalidated by :meth:`add_process`).
         self._pids: Optional[List[str]] = None
         self._server_pids: List[str] = []
@@ -292,35 +301,49 @@ class World:
             self.obs.on_action(self, record)
         return record
 
-    def enabled_channels(
+    def enabled_keys(
         self, channel_filter: Optional[ChannelFilter] = None
-    ) -> List[ChannelKey]:
-        """Non-empty channels permitted by the filter, sorted.
+    ) -> Collection[ChannelKey]:
+        """Non-empty channels permitted by the filter, in no order.
 
         Message-aware filters see the head message of each channel, so
         a blocked head (FIFO) disables the whole channel.  An installed
         adversary's active partition additionally disables channels
         crossing the cut (their messages stay queued until a heal).
+
+        With no filter and no active partition this is the non-empty
+        index itself, not a copy: read it before the World changes
+        again, and never write or keep it.  Its iteration order follows
+        ``PYTHONHASHSEED``; :meth:`enabled_channels` is the sorted view.
         """
         keys = self._nonempty
-        filtered = keys
         if channel_filter is not None:
             channels = self._channels
-            filtered = [
+            keys = [
                 k
-                for k in filtered
+                for k in keys
                 if channel_filter.allows(*k, head_message=channels[k].peek())
             ]
         adversary = self.adversary
         if adversary is not None and adversary.partition is not None:
-            filtered = adversary.partition_gate(filtered)
-        if filtered is keys:
-            filtered = list(keys)  # the index is mutated in place
-        return filtered
+            keys = adversary.partition_gate(keys)
+        return keys
+
+    def enabled_channels(
+        self, channel_filter: Optional[ChannelFilter] = None
+    ) -> List[ChannelKey]:
+        """:meth:`enabled_keys` as a sorted list, for callers that read
+        an order (the explorer branches in it)."""
+        return sorted(self.enabled_keys(channel_filter))
+
+    def undelivered_keys(self) -> AbstractSet[ChannelKey]:
+        """All non-empty channel keys, in no order (ignores filters and
+        partitions).  The index itself, read as :meth:`enabled_keys`."""
+        return self._nonempty
 
     def undelivered_channels(self) -> List[ChannelKey]:
         """All non-empty channel keys, sorted (ignores filters/partitions)."""
-        return list(self._nonempty)
+        return sorted(self._nonempty)
 
     def deliver(self, src: str, dst: str) -> ActionRecord:
         """Execute the delivery action on channel src->dst.
@@ -378,7 +401,7 @@ class World:
         self, channel_filter: Optional[ChannelFilter] = None
     ) -> Optional[ActionRecord]:
         """Run one scheduler-selected delivery; None if nothing enabled."""
-        enabled = self.enabled_channels(channel_filter)
+        enabled = self.enabled_keys(channel_filter)
         if not enabled:
             return None
         if not self._owns_scheduler:
@@ -529,7 +552,7 @@ class World:
         """
         taken = 0
         while True:
-            enabled = self.enabled_channels(channel_filter)
+            enabled = self.enabled_keys(channel_filter)
             if not enabled:
                 return taken
             if taken >= max_steps:
@@ -537,7 +560,7 @@ class World:
                     f"deliver_all exceeded {max_steps} steps; "
                     "protocol may be generating unbounded chatter"
                 )
-            self.deliver(*enabled[0])
+            self.deliver(*min(enabled))
             taken += 1
 
     # -- state inspection ----------------------------------------------------------
@@ -609,7 +632,7 @@ class World:
         clone it first), so its id is memoised by object identity.
         """
         pids = self._sorted_pids()
-        keys = self._nonempty
+        keys: Collection[ChannelKey] = self._nonempty
         if exclude:
             pids = [pid for pid in pids if pid not in exclude]
             keys = [
@@ -633,7 +656,7 @@ class World:
             ids.append(hit[1])
         process_count = len(ids)
         channels = self._channels
-        for key in keys:
+        for key in sorted(keys):
             channel = channels[key]
             if key in owned:
                 ids.append(intern((key, channel.state_digest())))
@@ -658,14 +681,14 @@ class World:
         Completed operation records are shared too (nothing writes a
         completed record); pending ones are cloned for the new World,
         so a record ``invoke_*`` returned still belongs to the parent.
-        A fork therefore costs two dict copies, a copy of the sorted
+        A fork therefore costs two dict copies, a copy of the
         channel index, the clones of the pending records and of the
         adversary; a later delivery clones only its receiver and the
         channels it pops from and pushes to.
         Immutable values — messages, tags, action records, codes — are
         shared as before.
 
-        Each twin has its own sorted channel index, and every channel a
+        Each twin has its own channel index, and every channel a
         twin clones or creates holds that twin's index (a shared channel
         still holds the index of the World that made it, and is never
         written again).  No object refers back to a World, so a dropped
@@ -718,7 +741,7 @@ class World:
         # hold it, so each twin gets its own copy (and never replaces
         # it).  The pid lists are replaced, never mutated in place:
         # share them.
-        clone._nonempty = list(self._nonempty)
+        clone._nonempty = set(self._nonempty)
         clone._pids = self._pids
         clone._server_pids = self._server_pids
         clone._client_pids = self._client_pids
@@ -735,7 +758,7 @@ class World:
         # Mapping views do not pickle, and the digest memo holds other
         # Worlds' processes and channels; both are rebuilt by
         # ``__setstate__``, and the intern table starts afresh with the
-        # memo.  Pickle keeps the identity of ``_nonempty`` and the list
+        # memo.  Pickle keeps the identity of ``_nonempty`` and the set
         # each owned channel holds, so the channels a copy owns hold the
         # copy's own index.
         state = self.__dict__.copy()

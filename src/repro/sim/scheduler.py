@@ -21,7 +21,15 @@ is a filter, not a message drop: the messages stay queued.
 from __future__ import annotations
 
 import copy
-from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Callable,
+    Collection,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from repro.errors import SchedulerExhaustedError
 from repro.util.rng import SeededRNG
@@ -30,6 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import World
 
 ChannelKey = Tuple[str, str]
+
+#: The collections :meth:`RoundRobinScheduler.select` probes in place.
+_SET_TYPES = (set, frozenset)
 
 
 class ChannelFilter:
@@ -145,8 +156,14 @@ class ChannelFilter:
 class Scheduler:
     """Base class; picks the next enabled channel to deliver."""
 
-    def select(self, world: "World", enabled: List[ChannelKey]) -> ChannelKey:
-        """Choose one key from the non-empty ``enabled`` list."""
+    def select(self, world: "World", enabled: Collection[ChannelKey]) -> ChannelKey:
+        """Choose one key from ``enabled``, a non-empty collection of keys.
+
+        ``enabled`` may be any collection, often the World's live
+        non-empty index: read it only during the call, never write or
+        keep it, and take no order from its iteration (a set iterates
+        in an order ``PYTHONHASHSEED`` decides).
+        """
         raise NotImplementedError
 
     def clone(self) -> "Scheduler":
@@ -171,10 +188,12 @@ class RoundRobinScheduler(Scheduler):
     key that stayed enabled is selected at least once — genuine
     round-robin fairness under churn.
 
-    New keys join the order in sorted order.  A selection hashes each
-    enabled key once, to build the set it probes; once every channel
-    has been seen, that set's subset test against the known keys
-    replaces a sort and a membership probe per enabled key.
+    New keys join the order in sorted order, so the schedule does not
+    depend on the order ``enabled`` iterates in.  A selection reads
+    ``enabled`` by membership only: the World's own set is read in
+    place (a subset test against the known keys, then one probe per
+    key the cyclic scan visits), and any other collection is hashed
+    once into a set first.
     """
 
     def __init__(self) -> None:
@@ -189,18 +208,21 @@ class RoundRobinScheduler(Scheduler):
         duplicate._cursor = self._cursor
         return duplicate
 
-    def select(self, world: "World", enabled: List[ChannelKey]) -> ChannelKey:
-        enabled_set = set(enabled)
+    def select(self, world: "World", enabled: Collection[ChannelKey]) -> ChannelKey:
+        if not isinstance(enabled, _SET_TYPES):
+            enabled = set(enabled)
         known = self._known
-        if not enabled_set <= known:
-            for key in sorted(enabled_set - known):
+        order = self._order
+        if not enabled <= known:
+            for key in sorted(enabled - known):
                 known.add(key)
-                self._order.append(key)
-        total = len(self._order)
+                order.append(key)
+        total = len(order)
+        cursor = self._cursor
         for offset in range(total):
-            index = (self._cursor + offset) % total
-            key = self._order[index]
-            if key in enabled_set:
+            index = (cursor + offset) % total
+            key = order[index]
+            if key in enabled:
                 self._cursor = index + 1
                 return key
         raise SchedulerExhaustedError(
@@ -219,7 +241,7 @@ class RandomScheduler(Scheduler):
         duplicate.rng = self.rng.clone()
         return duplicate
 
-    def select(self, world: "World", enabled: List[ChannelKey]) -> ChannelKey:
+    def select(self, world: "World", enabled: Collection[ChannelKey]) -> ChannelKey:
         return self.rng.choice(sorted(enabled))
 
 
@@ -240,7 +262,7 @@ class ScriptedScheduler(Scheduler):
         duplicate.position = self.position
         return duplicate
 
-    def select(self, world: "World", enabled: List[ChannelKey]) -> ChannelKey:
+    def select(self, world: "World", enabled: Collection[ChannelKey]) -> ChannelKey:
         if self.position >= len(self.script):
             raise SchedulerExhaustedError("scripted schedule exhausted")
         key = self.script[self.position]

@@ -94,6 +94,6 @@ def peak_storage_during(
         if total > peak_total:
             peak_total = total
             peak = StorageSnapshot(tuple(bits), world.step_count)
-    if world.enabled_channels():
+    if world.enabled_keys():
         raise RuntimeError(f"workload did not quiesce within {max_steps} steps")
     return peak

@@ -187,6 +187,6 @@ def check_invariants_during(
                 f"invariant violated at step {world.step_count}: "
                 + "; ".join(violations)
             )
-    if world.enabled_channels():
+    if world.enabled_keys():
         raise AssertionError(f"no quiescence within {max_steps} steps")
     return max_steps

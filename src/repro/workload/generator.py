@@ -91,7 +91,7 @@ def run_random_workload(
             raise OperationIncompleteError(
                 f"workload stalled after {max_steps} ticks"
             )
-        want_step = rng.random() < step_bias and world.enabled_channels()
+        want_step = rng.random() < step_bias and world.enabled_keys()
         if want_step:
             world.step()
         else:

@@ -118,6 +118,20 @@ class TestNewCommands:
         assert main(["explore", "--max-states", "50"]) == 0
         assert "exhausted=False" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_explore_budget_below_one_is_usage_error(self, capsys, budget):
+        assert main(["explore", "--max-states", budget]) == 3
+        out = capsys.readouterr().out
+        assert "--max-states must be >= 1" in out
+        assert "exhausted" not in out and "atomic" not in out
+
+    @pytest.mark.parametrize("ops", ["0", "-1"])
+    def test_chaos_ops_below_one_is_usage_error(self, capsys, ops):
+        assert main(["chaos", "--ops", ops, "--out", "", "--no-cache"]) == 3
+        out = capsys.readouterr().out
+        assert "--ops must be >= 1" in out
+        assert "PASSED" not in out and "FAIL" not in out
+
     def test_communication(self, capsys):
         assert main(["communication", "--algorithms", "abd"]) == 0
         out = capsys.readouterr().out

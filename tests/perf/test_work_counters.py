@@ -25,8 +25,10 @@ run).  A silent fallback to any per-step rescan fails it:
 * the round-robin scheduler sorts ``enabled`` only when a channel it
   has not seen appears (it used to sort at every step);
 * ``repro.sim.network`` sorts once per run, to build its sorted pids:
-  the channel index is kept sorted in place (re-sorting the non-empty
-  channel set after every transition made 6,498 sorts).
+  a step reads the non-empty channel set in place, and only callers
+  that read an order sort it (re-sorting the non-empty channel set
+  after every transition made 6,498 sorts; a step that reads the
+  sorted view ``enabled_channels`` makes 7,058).
 
 The same seed's telemetry (a ``SimObserver`` per run with a bounded
 trace tail; the ``telemetry`` tests) does only the work its output
@@ -56,7 +58,11 @@ each delivery:
 * ``storage_bits`` calls stay within deliveries plus one full count of
   the N servers per point (re-reading every server after every step
   made 33,062 calls; the sampler makes 1,971);
-* ``repro.sim.network`` makes no sort (3,534 before).
+* ``repro.sim.network`` makes no sort (3,534 before);
+* ``repro.sim.scheduler`` builds one set per scheduler, 24: each step
+  hands the World's own non-empty set to ``select``, which probes it in
+  place (copying the index and building a set from the copy at every
+  selection made 3,534).
 
 Schedule exploration, as ``repro explore`` runs it by default
 (SWMR-ABD, N=3, f=1, 2-bit values, write || read): 455 states, 4
@@ -367,9 +373,14 @@ def figure1_counts():
             (World, "deliver", "deliveries"),
             (ABDServer, "storage_bits", "storage_bits"),
             (CASServer, "storage_bits", "storage_bits"),
+            (RoundRobinScheduler, "__init__", "schedulers"),
         ):
             patch.setattr(cls, attr, _counting(tally, name, vars(cls)[attr]))
         _count_sorts(patch, tally, network_module, "network_sorts")
+        patch.setattr(
+            scheduler_module, "set",
+            _counting(tally, "scheduler_sets", set), raising=False,
+        )
         with _collector_off(tally, "garbage"):
             for n, f in FIGURE1_GRID:
                 series = empirical_figure1(n=n, f=f, nus=FIGURE1_NUS, jobs=1)
@@ -391,6 +402,11 @@ def test_figure1_storage_is_read_only_at_the_receiver(figure1_counts):
 
 def test_figure1_sorts_nothing_in_the_simulator(figure1_counts):
     assert figure1_counts["network_sorts"] == 0
+
+
+def test_figure1_scheduler_builds_one_set_per_scheduler(figure1_counts):
+    assert figure1_counts["schedulers"] == figure1_counts["points"] == 24
+    assert figure1_counts["scheduler_sets"] == figure1_counts["schedulers"]
 
 
 def test_figure1_leaves_no_cyclic_garbage(figure1_counts):

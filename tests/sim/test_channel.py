@@ -42,21 +42,21 @@ class TestChannel:
         hash(ch.state_digest())
 
     def test_keeps_its_key_in_the_index_it_holds(self):
-        keys = [("a", "a"), ("z", "z")]
+        keys = {("a", "a"), ("z", "z")}
         ch = Channel("a", "b", keys)
         ch.enqueue(Message.make("m", i=0))
         ch.enqueue(Message.make("m", i=1))
-        assert keys == [("a", "a"), ("a", "b"), ("z", "z")]
+        assert keys == {("a", "a"), ("a", "b"), ("z", "z")}
         ch.dequeue()
         assert ("a", "b") in keys
         ch.dequeue_at(0)
-        assert keys == [("a", "a"), ("z", "z")]
+        assert keys == {("a", "a"), ("z", "z")}
 
     def test_clone_holds_the_callers_index(self):
-        theirs, mine = [], []
+        theirs, mine = set(), set()
         ch = Channel("a", "b", theirs)
         ch.enqueue(Message.make("m", i=0))
-        mine.extend(theirs)
+        mine.update(theirs)
         duplicate = ch.clone(mine)
         duplicate.dequeue()
-        assert mine == [] and theirs == [("a", "b")] and len(ch) == 1
+        assert mine == set() and theirs == {("a", "b")} and len(ch) == 1

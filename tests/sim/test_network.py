@@ -1,5 +1,7 @@
 """Tests for the World step engine, using tiny toy protocols."""
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -145,6 +147,43 @@ class TestStepping:
         w.channel("s0", "s1")  # create empty
         with pytest.raises(SimulationError):
             w.deliver("s0", "s1")
+
+
+class TestChannelIndex:
+    """The non-empty index is a set; every view that has an order sorts."""
+
+    @staticmethod
+    def flooded():
+        """Six servers and one message on each of their 30 channels,
+        sent in shuffled order."""
+        w = World()
+        pids = [f"p{i}" for i in range(6)]
+        for pid in pids:
+            w.add_process(EchoServer(pid))
+        keys = [(s, d) for s in pids for d in pids if s != d]
+        random.Random(3).shuffle(keys)
+        for key in keys:
+            w.channel(*key).enqueue(Message.make("m"))
+        return w, keys
+
+    def test_sorted_views_are_sorted(self):
+        w, keys = self.flooded()
+        assert w.undelivered_channels() == sorted(keys)
+        assert w.enabled_channels() == sorted(keys)
+        hold = ChannelFilter.freeze_process("p0")
+        assert w.enabled_channels(hold) == sorted(k for k in keys if "p0" not in k)
+
+    def test_unordered_views_read_the_index_in_place(self):
+        w, keys = self.flooded()
+        index = w.undelivered_keys()
+        assert w.enabled_keys() is index and index == set(keys)
+        w.deliver(*keys[0])
+        assert keys[0] not in index and len(index) == len(keys) - 1
+
+    def test_deliver_all_takes_the_smallest_key_first(self):
+        w, keys = self.flooded()
+        assert w.deliver_all() == len(keys)
+        assert [(a.src, a.dst) for a in w.trace] == sorted(keys)
 
 
 class TestCrash:

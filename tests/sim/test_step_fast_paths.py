@@ -4,10 +4,11 @@ Four pieces of per-step work skip what the step did not change:
 
 * ``RoundRobinScheduler.select`` re-sorts and registers keys only when
   ``enabled`` holds a key it has not seen, and hashes each enabled key
-  once;
-* ``World.enabled_channels`` reads a channel index kept sorted in
-  place, and consults the adversary's partition gate only while a
-  partition is active, in one call for the whole key list;
+  of a list at most once (the World's own set it reads in place);
+* ``World.enabled_channels`` sorts the set of non-empty channel keys
+  each channel keeps up to date, and consults the adversary's
+  partition gate only while a partition is active, in one call for
+  the whole index;
 * ``ChannelAdversary.partition_gate`` filters that list in one pass
   instead of one per-channel ``allows`` call (:func:`_allows`);
 * ``Partition.side_of``/``crosses`` read a pid -> group map built once.
