@@ -6,12 +6,15 @@ before b was invoked, a comes first), and (b) is legal for a read/write
 register (every read returns the most recently linearized write's
 value, or the initial value).
 
-The checker is a memoized depth-first search in the spirit of Wing &
+The checker is one memoized depth-first search in the spirit of Wing &
 Gong.  State is (set of linearized ops, current register value); the
 memo makes repeated sub-configurations cheap.  Incomplete operations
 are handled per the standard rules: an incomplete write may be
 linearized (it may have taken effect) or dropped; incomplete reads are
-always dropped (they returned nothing to explain).
+always dropped (they returned nothing to explain).  A state is final
+once every complete operation is linearized, and the search lazily
+yields each register value a final state holds, once, with a witness
+order.
 
 Interval decomposition
 ----------------------
@@ -22,17 +25,16 @@ so far has responded before the next invocation, the register value is
 the only information that crosses the boundary.  ``check_atomicity``
 therefore splits the history at those quiescent cut points (sort by
 ``invoke_step``; cut wherever the running max ``response_step`` is
-below the next invocation) and checks segments independently,
-threading the set of reachable register values forward:
+below the next invocation) and runs the search on each segment once
+per register value reachable at its start, threading those values
+forward:
 
 * a non-final segment contains only complete operations (incomplete
-  ones extend to infinity, so they always land in the final segment);
-  for each register value reachable at its start, a full memoized DFS
-  enumerates every final value it can linearize to, with a witness
-  order per value;
-* the final segment runs the classic boolean search (with the
-  incomplete-write linearize-or-drop rule) once per reachable entry
-  value.
+  ones extend to infinity, so they always land in the final segment),
+  and every final value it yields, with its witness, joins the values
+  reachable at the next segment;
+* the final segment needs one linearization, so the check returns at
+  its first yield.
 
 Any global linearization must order each segment's operations as a
 contiguous block (cross-segment pairs are precedence-ordered), and
@@ -53,6 +55,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -156,25 +159,30 @@ class _Budget:
             raise _SearchBudgetExceeded()
 
 
-def _segment_final_values(
+def _linearizations(
     ops: Sequence[OperationRecord], initial_value: int, budget: _Budget
-) -> Dict[int, List[int]]:
-    """All register values an all-complete segment can linearize to.
+) -> Iterator[Tuple[int, List[int]]]:
+    """Yield ``(final value, witness)`` once per reachable final value.
 
-    Maps each reachable final value to one witness linearization (op
-    ids in order).  Memoized on (linearized set, value): the first
-    visit of a state explores its full subtree, so later visits can be
-    skipped without losing reachable finals.  Iterative (explicit
-    stack), so segment length is not bounded by the recursion limit.
+    A state is final once every complete operation is linearized; an
+    incomplete write may be linearized or dropped, and a dropped write
+    appears in no witness (op ids in linearized order).  Lazy, so a
+    caller that needs one linearization stops at the first yield.
+    Memoized on (linearized set, value), marked when a state is pushed:
+    the linearized set only grows along a path, so a state seen before
+    is off the current path and its subtree is already searched.
+    Iterative (explicit stack), so history length is not bounded by the
+    recursion limit.
     """
     # Sorted by invocation, predecessor sets are monotone (a later
     # invocation can only have more precedences), so the candidate scan
     # can stop at the first op whose predecessors are not yet done.
     ops = sorted(ops, key=lambda op: op.invoke_step)
+    must_linearize = frozenset(op.op_id for op in ops if op.is_complete)
+    if not must_linearize:
+        yield initial_value, []
+        return
     preds = _precedence_closure(ops)
-    all_ids = frozenset(op.op_id for op in ops)
-    finals: Dict[int, List[int]] = {}
-    order: List[int] = []
 
     def moves(done: FrozenSet[int], value: int):
         for op in ops:
@@ -187,100 +195,41 @@ def _segment_final_values(
                     yield done | {op.op_id}, value, op.op_id
             else:
                 yield done | {op.op_id}, op.value, op.op_id
+                # An incomplete write may instead never take effect:
+                # mark it done without changing the value, and leave it
+                # out of the witness.
+                if op.op_id not in must_linearize:
+                    yield done | {op.op_id}, value, None
 
-    if not all_ids:
-        return {initial_value: []}
-    root = (frozenset(), initial_value)
-    memo: set = {root}
+    memo: set = set()
+    finals: set = set()
+    order: List[int] = []
     budget.spend()
     # Each frame: (move generator, op id recorded on the edge into it).
-    stack = [(moves(*root), None)]
+    stack = [(moves(frozenset(), initial_value), None)]
     while stack:
         gen, _ = stack[-1]
         for next_done, next_value, op_id in gen:
-            if next_done == all_ids:
+            if must_linearize <= next_done:
+                # The move into a final state linearizes a complete op,
+                # so ``op_id`` is never a dropped write's ``None`` here.
                 if next_value not in finals:
-                    finals[next_value] = order + [op_id]
+                    finals.add(next_value)
+                    yield next_value, order + [op_id]
                 continue
             key = (next_done, next_value)
             if key in memo:
                 continue
             memo.add(key)
             budget.spend()
-            order.append(op_id)
+            if op_id is not None:
+                order.append(op_id)
             stack.append((moves(next_done, next_value), op_id))
             break
         else:
             _, recorded = stack.pop()
             if recorded is not None:
                 order.pop()
-    return finals
-
-
-def _segment_feasible(
-    ops: Sequence[OperationRecord], initial_value: int, budget: _Budget
-) -> Tuple[bool, List[int]]:
-    """Boolean Wing & Gong search with the incomplete-write rule.
-
-    Returns (linearizable, witness).  Used for the final segment (the
-    only one that may contain incomplete operations) and for the whole
-    history when decomposition is off.  Iterative (explicit stack), so
-    history length is not bounded by the recursion limit.
-    """
-    # See _segment_final_values: invoke-sorted predecessor sets are
-    # monotone, so the candidate scan stops at the first blocked op.
-    ops = sorted(ops, key=lambda op: op.invoke_step)
-    must_linearize = frozenset(op.op_id for op in ops if op.is_complete)
-    preds = _precedence_closure(ops)
-    memo: set = set()
-    order: List[int] = []
-
-    def moves(done: FrozenSet[int], value: int):
-        for op in ops:
-            if op.op_id in done:
-                continue
-            if not preds[op.op_id] <= done:
-                break
-            if op.kind == "read":
-                if op.value == value:
-                    yield done | {op.op_id}, value, op.op_id
-            else:
-                yield done | {op.op_id}, op.value, op.op_id
-                # An incomplete write may also be dropped entirely; model
-                # that by allowing the search to skip it permanently only
-                # when it is not required.  Skipping is equivalent to
-                # linearizing it "never": mark done without changing the
-                # value (and without appearing in the witness order).
-                if op.op_id not in must_linearize:
-                    yield done | {op.op_id}, value, None
-
-    if must_linearize <= frozenset():
-        return True, []
-    root = (frozenset(), initial_value)
-    budget.spend()
-    # Each frame: (state key, move generator, op id recorded on its edge).
-    stack = [(root, moves(*root), None)]
-    while stack:
-        _, gen, _ = stack[-1]
-        for next_done, next_value, op_id in gen:
-            if must_linearize <= next_done:
-                if op_id is not None:
-                    order.append(op_id)
-                return True, list(order)
-            key = (next_done, next_value)
-            if key in memo:
-                continue
-            budget.spend()
-            if op_id is not None:
-                order.append(op_id)
-            stack.append((key, moves(next_done, next_value), op_id))
-            break
-        else:
-            key, _, recorded = stack.pop()
-            memo.add(key)
-            if recorded is not None:
-                order.pop()
-    return False, []
 
 
 def check_atomicity(
@@ -313,25 +262,15 @@ def check_atomicity(
         frontier: Dict[int, List[int]] = {initial_value: []}
         for index, segment in enumerate(segments):
             is_final = index == len(segments) - 1
-            if is_final:
-                for value, prefix in frontier.items():
-                    ok, witness = _segment_feasible(segment, value, budget)
-                    if ok:
+            advanced: Dict[int, List[int]] = {}
+            for value, prefix in frontier.items():
+                for final, witness in _linearizations(segment, value, budget):
+                    if is_final:
                         return AtomicityVerdict(
                             ok=True,
                             linearization=prefix + witness,
                             states_explored=budget.explored,
                         )
-                return AtomicityVerdict(
-                    ok=False,
-                    reason="no legal linearization exists",
-                    states_explored=budget.explored,
-                )
-            advanced: Dict[int, List[int]] = {}
-            for value, prefix in frontier.items():
-                for final, witness in _segment_final_values(
-                    segment, value, budget
-                ).items():
                     if final not in advanced:
                         advanced[final] = prefix + witness
             if not advanced:

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.clone import clone_instance_state
@@ -380,17 +380,17 @@ class ChannelAdversary:
 
     # -- partition gate (consulted by World.enabled_keys) --------------------
 
-    def partition_gate(self, keys: Iterable[ChannelKey]) -> List[ChannelKey]:
-        """The channel keys no active partition cuts, in the order given,
-        in one pass.
+    def partition_gate(self, keys: Iterable[ChannelKey]) -> Set[ChannelKey]:
+        """The set of channel keys no active partition cuts, in one pass.
 
         ``World.enabled_keys`` calls this once per step while a
-        partition is active; with none, every key passes.
+        partition is active, and a set is what ``Scheduler.select``
+        reads in place; with no partition, every key passes.
         """
         if self.partition is None:
-            return list(keys)
+            return set(keys)
         side = self.partition._side
-        return [k for k in keys if side.get(k[0], -1) == side.get(k[1], -1)]
+        return {k for k in keys if side.get(k[0], -1) == side.get(k[1], -1)}
 
     def start_partition(self, partition: Partition) -> None:
         """Activate a partition (replaces any active one)."""

@@ -336,23 +336,6 @@ class FaultTimeline:
             count += 1
         return count
 
-    def without_crash_events(self, indices: Tuple[int, ...]) -> "FaultTimeline":
-        drop = set(indices)
-        return dataclasses.replace(
-            self,
-            crash_events=tuple(
-                e for i, e in enumerate(self.crash_events) if i not in drop
-            ),
-        )
-
-    def without_partition(self) -> "FaultTimeline":
-        return dataclasses.replace(
-            self, partition_at=None, heal_at=None, partition_pids=()
-        )
-
-    def without_heal(self) -> "FaultTimeline":
-        return dataclasses.replace(self, heal_at=None)
-
     def to_json_dict(self) -> dict:
         return {
             "crash_events": [list(e) for e in self.crash_events],

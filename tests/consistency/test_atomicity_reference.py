@@ -5,6 +5,8 @@ without the interval decomposition, must agree with a straightforward
 (exponential) reference on every small history:
 enumerate each subset of incomplete writes to include, each permutation
 of the chosen operations, check real-time order and register legality.
+Each witness the checker returns, in both modes, must be a real
+linearization of the history, incomplete writes taken or dropped.
 Hypothesis generates histories, and the seed explorer loop and the
 exhaustive explorer supply every terminal history of two small
 configurations, one of which violates atomicity.
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.consistency.atomicity import check_atomicity
 from repro.sim.events import OperationRecord
 from repro.verification.explore import ScheduleExplorer
+from tests.consistency.test_atomicity_decompose import assert_valid_witness
 from tests.verification.test_explore import (
     INVERSION_FOLLOWUPS,
     inversion_prefix_world,
@@ -101,11 +104,13 @@ class TestAgainstBruteForce:
         expected = brute_force_atomic(ops)
         history = [(o.kind, o.value, o.invoke_step, o.response_step) for o in ops]
         for kwargs in ({}, {"decompose": False}):
-            actual = check_atomicity(ops, **kwargs).ok
-            assert actual == expected, (
-                f"checker({kwargs})={actual}, brute-force={expected}, "
+            verdict = check_atomicity(ops, **kwargs)
+            assert verdict.ok == expected, (
+                f"checker({kwargs})={verdict.ok}, brute-force={expected}, "
                 f"history={history}"
             )
+            if verdict.ok:
+                assert_valid_witness(ops, 0, verdict.linearization)
 
     @settings(max_examples=100, deadline=None)
     @given(small_histories(), st.integers(min_value=0, max_value=2))

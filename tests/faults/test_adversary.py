@@ -53,7 +53,7 @@ class TestAdversaryConfig:
         adv = ChannelAdversary()
         assert adv.fate("a", "b", None) == "deliver"
         assert adv.pick_index(("a", "b"), 5) == 0
-        assert adv.partition_gate([("a", "b")]) == [("a", "b")]
+        assert adv.partition_gate([("a", "b")]) == {("a", "b")}
 
 
 class TestPartitionGate:

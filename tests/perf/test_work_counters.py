@@ -28,7 +28,10 @@ run).  A silent fallback to any per-step rescan fails it:
   a step reads the non-empty channel set in place, and only callers
   that read an order sort it (re-sorting the non-empty channel set
   after every transition made 6,498 sorts; a step that reads the
-  sorted view ``enabled_channels`` makes 7,058).
+  sorted view ``enabled_channels`` makes 7,058);
+* ``repro.sim.scheduler`` builds one set per scheduler, 30: a
+  partitioned step hands ``select`` the gate's set, which it probes in
+  place (a gate that returned a list made ``select`` build 1,437 more).
 
 The same seed's telemetry (a ``SimObserver`` per run with a bounded
 trace tail; the ``telemetry`` tests) does only the work its output
@@ -121,8 +124,12 @@ decomposition's gain is in the quadratic precedence-closure setup, so
 that is what is counted: no closure spans more intervals than the
 largest quiescent segment (221), and the distinct closures cover
 128,526 interval pairs where the monolithic search needs 640,000.
-Search states are not the measure: the decomposed search visits more
-of them (10,277 against 3,810).
+The search's work is pinned too, with each witness checked as a
+linearization: 10,277 states decomposed, 3,810 with
+``decompose=False``.  The decomposed search visits more because every
+non-final segment enumerates all its final values, while the final
+segment (the whole history under ``decompose=False``) stops at its
+first linearization.
 
 No reference cycles: the simulator and the explorer build none, so a
 World the explorer or a campaign drops is freed at once by reference
@@ -186,6 +193,8 @@ from repro.sim.process import Process
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.verification.explore import explore_all_schedules
 from repro.workload.generator import run_random_workload
+
+from tests.consistency.test_atomicity_decompose import assert_valid_witness
 
 N, F, VALUE_BITS, NUM_OPS, SEED = 5, 1, 6, 10, 1
 
@@ -261,6 +270,7 @@ def counts():
             (MetricsRegistry, "snapshot", "snapshots", None),
             (Gauge, "set", "gauge_sets", None),
             (TraceEvent, "__init__", "trace_events", None),
+            (RoundRobinScheduler, "__init__", "schedulers", None),
         ):
             patch.setattr(
                 cls, attr, _counting(tally, name, cls.__dict__[attr], note)
@@ -276,6 +286,10 @@ def counts():
         )
         _count_sorts(patch, tally, scheduler_module, "scheduler_sorts")
         _count_sorts(patch, tally, network_module, "network_sorts")
+        patch.setattr(
+            scheduler_module, "set",
+            _counting(tally, "scheduler_sets", set), raising=False,
+        )
         with _collector_off(tally, "garbage"):
             report = run_campaign(
                 algorithms=("abd", "cas", "casgc"), n=N, f=F,
@@ -324,6 +338,11 @@ def test_channel_length_is_read_about_once_per_delivery(counts):
 
 def test_scheduler_sorts_only_when_a_new_channel_appears(counts):
     assert 0 < counts["scheduler_sorts"] <= counts["runs"] * _channels_per_run()
+
+
+def test_scheduler_builds_one_set_per_scheduler(counts):
+    # Partitioned steps included: the gate hands ``select`` a set.
+    assert counts["scheduler_sets"] == counts["schedulers"] == 30
 
 
 def test_channel_index_is_never_sorted(counts):
@@ -645,6 +664,10 @@ def test_checker_closures_stay_within_quiescent_segments():
     decomposed, sizes = closure_sizes()
     monolithic, mono_sizes = closure_sizes(decompose=False)
     assert decomposed.ok == monolithic.ok
+    assert decomposed.states_explored == 10_277
+    assert monolithic.states_explored == 3_810
+    assert_valid_witness(history, 0, decomposed.linearization)
+    assert_valid_witness(history, 0, monolithic.linearization)
     assert max(sizes.values()) <= largest
     assert sum(n * n for n in sizes.values()) == 128_526
     assert sum(n * n for n in mono_sizes.values()) == 800 * 800

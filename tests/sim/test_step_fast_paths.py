@@ -4,13 +4,15 @@ Four pieces of per-step work skip what the step did not change:
 
 * ``RoundRobinScheduler.select`` re-sorts and registers keys only when
   ``enabled`` holds a key it has not seen, and hashes each enabled key
-  of a list at most once (the World's own set it reads in place);
+  of a list at most once (a set, the World's own or the partition
+  gate's, it reads in place);
 * ``World.enabled_channels`` sorts the set of non-empty channel keys
   each channel keeps up to date, and consults the adversary's
   partition gate only while a partition is active, in one call for
   the whole index;
-* ``ChannelAdversary.partition_gate`` filters that list in one pass
-  instead of one per-channel ``allows`` call (:func:`_allows`);
+* ``ChannelAdversary.partition_gate`` filters that index into a set
+  in one pass instead of one per-channel ``allows`` call
+  (:func:`_allows`);
 * ``Partition.side_of``/``crosses`` read a pid -> group map built once.
 
 Each is checked here against the implementation it replaced, kept
@@ -228,10 +230,10 @@ def test_partition_gate_matches_allows_per_channel(partition):
     pids = sorted(set().union(*partition.groups)) + ["zz", "s0"]
     keys = [(src, dst) for src in pids for dst in pids if src != dst]
     adversary = ChannelAdversary()
-    assert adversary.partition_gate(keys) == keys  # no partition: all open
+    assert adversary.partition_gate(keys) == set(keys)  # no partition: all open
     adversary.start_partition(partition)
     gated = adversary.partition_gate(keys)
-    assert gated == [k for k in keys if _allows(adversary, *k)]
+    assert gated == {k for k in keys if _allows(adversary, *k)}
     assert gated is not keys
 
 

@@ -138,15 +138,6 @@ def test_timeline_edits():
         partition_pids=("r000", "s004"),
     )
     assert timeline.event_count == 4
-    assert timeline.without_crash_events((0,)).crash_events == (
-        ("s004", 30, None),
-    )
-    cut_free = timeline.without_partition()
-    assert cut_free.partition_at is None
-    assert cut_free.heal_at is None
-    assert cut_free.partition_pids == ()
-    assert cut_free.event_count == 2
-    assert timeline.without_heal().heal_at is None
     assert FaultTimeline.from_json_dict(timeline.to_json_dict()) == timeline
 
 

@@ -15,7 +15,7 @@ from repro.obs.tracing import TRACE_TAIL_EVENTS, TraceCollector
 from repro.registers.catalog import build_client_system
 from repro.triage.bundle import ReproBundle, bundle_from_result
 from repro.triage.replay import execute_bundle, replay_task_payload
-from repro.triage.shrink import shrink_bundle
+from repro.triage.shrink import _bundle_items, _candidate, shrink_bundle
 
 from tests.triage.helpers import DEMO_CONFIG, MAX_TICKS
 
@@ -77,10 +77,12 @@ class TestTraceTail:
         # The shrinker's candidate constructors are dataclass replaces;
         # the tail must survive every one of them.
         assert bundle.with_note("x").trace_tail == bundle.trace_tail
-        assert (
-            bundle.with_timeline(bundle.timeline.without_partition()).trace_tail
-            == bundle.trace_tail
+        cut_free = _candidate(
+            bundle,
+            [item for item in _bundle_items(bundle) if item != ("partition",)],
         )
+        assert cut_free.timeline.partition_at is None
+        assert cut_free.trace_tail == bundle.trace_tail
         assert (
             bundle.with_workload(bundle.workload).trace_tail
             == bundle.trace_tail
