@@ -10,11 +10,15 @@ substrate:
 * :mod:`repro.registers.cas` — Coded Atomic Storage [5], a 3-phase
   erasure-coded write protocol;
 * :mod:`repro.registers.casgc` — CAS with garbage collection of old
-  coded elements (bounded-concurrency liveness).
+  coded elements (bounded-concurrency liveness);
+* :mod:`repro.registers.coded_swmr` — a one-phase erasure-coded
+  single-writer register (regular, not atomic).
 
-All satisfy the structural assumptions of the paper's Theorem 6.5
-(black-box actions; value-dependent messages in exactly one write
-phase), so every bound in the paper applies to them.
+Every client runs its phases, acknowledgements and phase spans through
+:class:`repro.registers.base.QuorumClient`.  All satisfy the
+structural assumptions of the paper's Theorem 6.5 (black-box actions;
+value-dependent messages in exactly one write phase), so every bound
+in the paper applies to them.
 """
 
 from repro.registers.tags import Tag, INITIAL_TAG

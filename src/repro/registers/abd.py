@@ -18,10 +18,11 @@ Multi-writer multi-reader atomic register over ``N`` servers tolerating
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.registers.base import (
+    QuorumClient,
     SystemHandle,
     quorum_size,
     reader_id,
@@ -32,12 +33,7 @@ from repro.registers.base import (
 from repro.registers.tags import INITIAL_TAG, Tag
 from repro.sim.events import Message
 from repro.sim.network import World
-from repro.sim.process import (
-    ClientProcess,
-    ProcessContext,
-    ServerProcess,
-    require_payload,
-)
+from repro.sim.process import ProcessContext, ServerProcess, require_payload
 
 #: Nominal metadata bits per stored tag (seq counter + client id); the
 #: paper treats all such costs as o(log |V|).
@@ -90,62 +86,13 @@ class ABDServer(ServerProcess):
         return bits
 
 
-class _QuorumClient(ClientProcess):
-    """Shared two-phase quorum machinery for ABD clients.
-
-    ``byzantine_budget`` escalates every phase's ack target from the
-    crash quorum ``q = N - f`` to ``q + b``: any two escalated quorums
-    then intersect in at least ``N - 2f + b`` servers, of which at
-    least ``N - 2f >= 1`` are honest even after discounting ``b``
-    corrupt responders — the margin the reader-side validation in
-    :class:`ABDReadClient` needs to confirm a completed write by
-    ``b + 1`` matching responses.  Requires ``q + b <= N`` (i.e.
-    ``b <= f``), enforced by :func:`build_abd_system`.
-
-    Servers are interchangeable here: a phase goes to every server and
-    counts distinct responders, so digests hold responder sets as
-    frozensets (:attr:`~repro.sim.process.Process.opaque_server_ids`).
-    """
-
-    opaque_server_ids = True
-
-    def __init__(
-        self,
-        pid: str,
-        server_ids: Tuple[str, ...],
-        quorum: int,
-        byzantine_budget: int = 0,
-    ) -> None:
-        super().__init__(pid)
-        self.server_ids = server_ids
-        self.quorum = quorum
-        self.byzantine_budget = byzantine_budget
-        self.ack_target = quorum + byzantine_budget
-        self.phase: int = 0
-        self.phase_nonce: int = 0
-        self.responded: Set[str] = set()
-
-    def _ref(self) -> tuple:
-        return (self.pid, self.phase_nonce)
-
-    def _begin_phase(self, ctx: ProcessContext, message_kind: str, **body) -> None:
-        self.phase_nonce += 1
-        self.responded = set()
-        for sid in self.server_ids:
-            ctx.send(sid, Message.make(message_kind, ref=self._ref(), **body))
-
-    def _accept_ack(self, src: str, message: Message) -> bool:
-        """True iff this ack belongs to the current phase and is new."""
-        if message.get("ref") != self._ref():
-            return False
-        if src in self.responded:
-            return False
-        self.responded.add(src)
-        return True
-
-
-class ABDWriteClient(_QuorumClient):
+class ABDWriteClient(QuorumClient):
     """Two-phase ABD writer."""
+
+    #: A phase goes to every server and counts distinct responders, so
+    #: digests hold responder sets as frozensets.
+    opaque_server_ids = True
+    PHASES = ("write/query", "write/propagate")
 
     def __init__(
         self,
@@ -161,16 +108,10 @@ class ABDWriteClient(_QuorumClient):
     def start_write(self, ctx: ProcessContext, op_id: int, value: int) -> None:
         self.pending_value = value
         self.max_tag = INITIAL_TAG
-        self.phase = 1
-        if ctx.obs:
-            ctx.obs.begin_span(self.pid, "write/query", ctx.step, op_id=op_id)
-        self._begin_phase(ctx, "get")
-
-    def start_read(self, ctx: ProcessContext, op_id: int) -> None:
-        raise SimulationError("ABD write client cannot read")
+        self._enter(ctx, 1, "get")
 
     def on_message(self, ctx: ProcessContext, src: str, message: Message) -> None:
-        if self.pending_op_id is None or not self._accept_ack(src, message):
+        if not self._accept_ack(src, message):
             return
         if self.phase == 1 and message.kind == "get-ack":
             tag = Tag.from_tuple(message.get("tag"))
@@ -178,23 +119,13 @@ class ABDWriteClient(_QuorumClient):
                 self.max_tag = tag
             if len(self.responded) >= self.ack_target:
                 new_tag = self.max_tag.next_for(self.pid)
-                self.phase = 2
-                if ctx.obs:
-                    ctx.obs.end_span(self.pid, "write/query", ctx.step)
-                    ctx.obs.begin_span(self.pid, "write/propagate", ctx.step)
-                self._begin_phase(
-                    ctx,
-                    "put",
-                    tag=new_tag.as_tuple(),
-                    value=self.pending_value,
+                self._enter(
+                    ctx, 2, "put", tag=new_tag.as_tuple(), value=self.pending_value
                 )
         elif self.phase == 2 and message.kind == "put-ack":
             if len(self.responded) >= self.ack_target:
-                self.phase = 0
                 self.pending_value = None
-                if ctx.obs:
-                    ctx.obs.end_span(self.pid, "write/propagate", ctx.step)
-                self.finish(ctx)
+                self._finish(ctx)
 
     def state_digest(self) -> tuple:
         return (
@@ -207,7 +138,7 @@ class ABDWriteClient(_QuorumClient):
         )
 
 
-class ABDReadClient(_QuorumClient):
+class ABDReadClient(QuorumClient):
     """Two-phase ABD reader (phase 2 write-back gives atomicity).
 
     With ``write_back=False`` the read returns after phase 1; the
@@ -218,9 +149,10 @@ class ABDReadClient(_QuorumClient):
     responses and *validates* before choosing: it picks the highest
     tag whose ``(tag, value)`` pair is confirmed by at least ``b + 1``
     responders (any completed write reaches ``b + 1`` honest servers of
-    every escalated quorum, see :class:`_QuorumClient`; at most ``b``
-    corrupt responders can never forge that count).  Responses sharing
-    the chosen tag but reporting a different value are proof-positive
+    every escalated quorum, see
+    :class:`~repro.registers.base.QuorumClient`; at most ``b`` corrupt
+    responders can never forge that count).  Responses sharing the
+    chosen tag but reporting a different value are proof-positive
     corruption — tags are writer-unique, honest servers store what the
     writer sent — and are counted on ``byz_detected`` (surfaced as the
     run's ``Degraded`` verdict and the ``faults.byzantine.detected`` /
@@ -229,6 +161,9 @@ class ABDReadClient(_QuorumClient):
     falls back to the plain max-tag choice and counts
     ``byz_unconfirmed``.
     """
+
+    opaque_server_ids = True
+    PHASES = ("read/query", "read/write-back")
 
     def __init__(
         self,
@@ -253,13 +188,7 @@ class ABDReadClient(_QuorumClient):
         self.best_value = 0
         self.have_best = False
         self.acks = {}
-        self.phase = 1
-        if ctx.obs:
-            ctx.obs.begin_span(self.pid, "read/query", ctx.step, op_id=op_id)
-        self._begin_phase(ctx, "get")
-
-    def start_write(self, ctx: ProcessContext, op_id: int, value: int) -> None:
-        raise SimulationError("ABD read client cannot write")
+        self._enter(ctx, 1, "get")
 
     def _select_validated(self, ctx: ProcessContext) -> None:
         """Byzantine-tolerant candidate selection over collected acks."""
@@ -296,7 +225,7 @@ class ABDReadClient(_QuorumClient):
             ctx.obs.end_span(self.pid, "read/validate", ctx.step)
 
     def on_message(self, ctx: ProcessContext, src: str, message: Message) -> None:
-        if self.pending_op_id is None or not self._accept_ack(src, message):
+        if not self._accept_ack(src, message):
             return
         if self.phase == 1 and message.kind == "get-ack":
             tag = Tag.from_tuple(message.get("tag"))
@@ -309,27 +238,16 @@ class ABDReadClient(_QuorumClient):
             if len(self.responded) >= self.ack_target:
                 if self.byzantine_budget:
                     self._select_validated(ctx)
-                if ctx.obs:
-                    ctx.obs.end_span(self.pid, "read/query", ctx.step)
                 if self.write_back:
-                    self.phase = 2
-                    if ctx.obs:
-                        ctx.obs.begin_span(self.pid, "read/write-back", ctx.step)
-                    self._begin_phase(
-                        ctx,
-                        "put",
-                        tag=self.best_tag.as_tuple(),
-                        value=self.best_value,
+                    self._enter(
+                        ctx, 2, "put",
+                        tag=self.best_tag.as_tuple(), value=self.best_value,
                     )
                 else:
-                    self.phase = 0
-                    self.finish(ctx, self.best_value)
+                    self._finish(ctx, self.best_value)
         elif self.phase == 2 and message.kind == "put-ack":
             if len(self.responded) >= self.ack_target:
-                self.phase = 0
-                if ctx.obs:
-                    ctx.obs.end_span(self.pid, "read/write-back", ctx.step)
-                self.finish(ctx, self.best_value)
+                self._finish(ctx, self.best_value)
 
     def state_digest(self) -> tuple:
         return (

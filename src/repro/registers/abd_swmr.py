@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.errors import SimulationError
-from repro.registers.abd import ABDReadClient, ABDServer, _QuorumClient
+from repro.registers.abd import ABDReadClient, ABDServer
 from repro.registers.base import (
+    QuorumClient,
     SystemHandle,
     quorum_size,
     reader_id,
@@ -31,8 +31,11 @@ from repro.sim.network import World
 from repro.sim.process import ProcessContext
 
 
-class SWMRWriteClient(_QuorumClient):
+class SWMRWriteClient(QuorumClient):
     """One-phase writer holding a local sequence counter."""
+
+    opaque_server_ids = True
+    PHASES = ("write/propagate",)
 
     def __init__(self, pid: str, server_ids: Tuple[str, ...], quorum: int) -> None:
         super().__init__(pid, server_ids, quorum)
@@ -40,25 +43,13 @@ class SWMRWriteClient(_QuorumClient):
 
     def start_write(self, ctx: ProcessContext, op_id: int, value: int) -> None:
         self.seq += 1
-        self.phase = 1
-        if ctx.obs:
-            ctx.obs.begin_span(self.pid, "write/propagate", ctx.step, op_id=op_id)
-        self._begin_phase(
-            ctx, "put", tag=Tag(self.seq, self.pid).as_tuple(), value=value
-        )
-
-    def start_read(self, ctx: ProcessContext, op_id: int) -> None:
-        raise SimulationError("SWMR write client cannot read")
+        self._enter(ctx, 1, "put", tag=Tag(self.seq, self.pid).as_tuple(), value=value)
 
     def on_message(self, ctx: ProcessContext, src: str, message: Message) -> None:
-        if self.pending_op_id is None or not self._accept_ack(src, message):
+        if not self._accept_ack(src, message):
             return
-        if self.phase == 1 and message.kind == "put-ack":
-            if len(self.responded) >= self.quorum:
-                self.phase = 0
-                if ctx.obs:
-                    ctx.obs.end_span(self.pid, "write/propagate", ctx.step)
-                self.finish(ctx)
+        if message.kind == "put-ack" and len(self.responded) >= self.ack_target:
+            self._finish(ctx)
 
     def state_digest(self) -> tuple:
         return (

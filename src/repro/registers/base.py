@@ -5,17 +5,19 @@ writers and some readers running one algorithm's protocols.
 :class:`SystemHandle` wraps that World with a convenient synchronous
 facade (``write`` / ``read`` run an operation to completion under a
 fair scheduler) while leaving the World fully exposed for the
-adversarial drivers.
+adversarial drivers.  Every client runs its protocol's phases through
+:class:`QuorumClient`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError
-from repro.sim.events import OperationRecord
+from repro.errors import ConfigurationError, SimulationError
+from repro.sim.events import Message, OperationRecord
 from repro.sim.network import World
+from repro.sim.process import ClientProcess, ProcessContext
 from repro.sim.scheduler import ChannelFilter
 
 
@@ -47,6 +49,121 @@ def writer_id(i: int) -> str:
 def reader_id(i: int) -> str:
     """Canonical reader process id."""
     return f"r{i:03d}"
+
+
+class QuorumClient(ClientProcess):
+    """A client whose operations are numbered quorum *phases*.
+
+    In each phase (Definition 6.1 of the paper) the client sends one
+    message to every server and waits for acknowledgements from
+    ``ack_target`` distinct servers.  This class owns what every
+    register protocol here shares:
+
+    * the phase number (0 between operations) and a nonce per phase;
+      every request carries ``ref = (pid, nonce)`` and every reply
+      quotes it, so :meth:`_accept_ack` keeps only replies to the
+      current phase, one per server;
+    * the broadcast: :meth:`_enter` sends one body to every server, or
+      with ``elems`` coded element ``i`` to server ``i``;
+    * the phase spans: phase ``p`` is named ``PHASES[p - 1]``; entering
+      a phase ends the previous phase's span and begins its own, and
+      :meth:`_finish` ends the last one;
+    * for a writer-only or reader-only class, the other operation's
+      entry point, which raises :class:`~repro.errors.SimulationError`.
+
+    ``byzantine_budget=b`` raises the ack target from the crash quorum
+    ``q`` to ``q + b``: any two such quorums then intersect in at least
+    ``N - 2f + b`` servers, of which at least ``N - 2f >= 1`` are
+    honest even after discounting ``b`` corrupt responders — the margin
+    the readers' validation needs (``b <= f``, enforced by the
+    builders).
+    """
+
+    #: Span name of each phase, phase 1 first.
+    PHASES: Tuple[str, ...] = ()
+
+    def __init__(
+        self,
+        pid: str,
+        server_ids: Tuple[str, ...],
+        quorum: int,
+        byzantine_budget: int = 0,
+    ) -> None:
+        super().__init__(pid)
+        self.server_ids = server_ids
+        self.quorum = quorum
+        self.byzantine_budget = byzantine_budget
+        self.ack_target = quorum + byzantine_budget
+        self.phase: int = 0
+        self.phase_nonce: int = 0
+        self.responded: Set[str] = set()
+
+    def start_write(self, ctx: ProcessContext, op_id: int, value: int) -> None:
+        raise SimulationError(f"{type(self).__name__} {self.pid} cannot write")
+
+    def start_read(self, ctx: ProcessContext, op_id: int) -> None:
+        raise SimulationError(f"{type(self).__name__} {self.pid} cannot read")
+
+    def _ref(self) -> tuple:
+        return (self.pid, self.phase_nonce)
+
+    def _enter(
+        self,
+        ctx: ProcessContext,
+        phase: int,
+        kind: str,
+        elems: Optional[Iterable[int]] = None,
+        **body,
+    ) -> None:
+        """Enter ``phase`` and send its ``kind`` request to every server.
+
+        The request body is built once and each server gets its own
+        :class:`Message` (a trace keys each send by the message object);
+        with ``elems``, server ``i`` also gets the ``i``-th of them as
+        ``elem``.
+        """
+        obs = ctx.obs
+        if obs:
+            if self.phase:
+                obs.end_span(self.pid, self.PHASES[self.phase - 1], ctx.step)
+            obs.begin_span(
+                self.pid, self.PHASES[phase - 1], ctx.step, op_id=self.pending_op_id
+            )
+        self.phase = phase
+        self.phase_nonce += 1
+        self.responded = set()
+        ref = self._ref()
+        send = ctx.send
+        if elems is None:
+            fields = Message.make(kind, ref=ref, **body).body
+            for sid in self.server_ids:
+                send(sid, Message(kind, fields))
+        else:
+            for sid, elem in zip(self.server_ids, elems):
+                send(sid, Message.make(kind, ref=ref, elem=elem, **body))
+
+    def _current(self, message: Message) -> bool:
+        """True iff ``message`` answers this pending operation's phase."""
+        return self.pending_op_id is not None and message.get("ref") == self._ref()
+
+    def _accept_ack(self, src: str, message: Message) -> bool:
+        """True iff ``message`` answers the current phase and is the
+        first answer from ``src`` (which it then records)."""
+        if (
+            self.pending_op_id is None
+            or message.get("ref") != self._ref()
+            or src in self.responded
+        ):
+            return False
+        self.responded.add(src)
+        return True
+
+    def _finish(self, ctx: ProcessContext, value: Optional[int] = None) -> None:
+        """End the last phase's span and complete the operation."""
+        if ctx.obs:
+            ctx.obs.end_span(self.pid, self.PHASES[self.phase - 1], ctx.step)
+        self.phase = 0
+        self.finish(ctx, value)
 
 
 @dataclass

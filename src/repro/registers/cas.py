@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.errors import ConfigurationError, SimulationError
 from repro.registers.base import (
+    QuorumClient,
     SystemHandle,
     reader_id,
     server_id,
@@ -45,12 +46,7 @@ from repro.registers.base import (
 from repro.registers.tags import INITIAL_TAG, Tag
 from repro.sim.events import Message
 from repro.sim.network import World
-from repro.sim.process import (
-    ClientProcess,
-    ProcessContext,
-    ServerProcess,
-    require_payload,
-)
+from repro.sim.process import ProcessContext, ServerProcess, require_payload
 
 #: Nominal metadata bits per stored (tag, label) record.
 RECORD_METADATA_BITS = 66
@@ -118,6 +114,12 @@ class CASServer(ServerProcess):
     def _tag_key(self, tag: tuple) -> Tag:
         return Tag.from_tuple(tag)
 
+    def _collected(self, tag: tuple) -> bool:
+        """True iff garbage collection already pruned ``tag``."""
+        return self.gc_floor is not None and self._tag_key(tag) <= self._tag_key(
+            self.gc_floor
+        )
+
     def _prune(self, ctx: ProcessContext) -> None:
         """CASGC pruning: drop records below the (δ+1)-th finalized tag."""
         if self.gc_depth is None:
@@ -169,7 +171,10 @@ class CASServer(ServerProcess):
             elem = require_payload(message, "elem")
             record = self.store.get(tag)
             if record is None:
-                self.store[tag] = [elem, PRE]
+                # A collected tag stays collected: a late pre-write is
+                # acknowledged, but its element is not stored.
+                if not self._collected(tag):
+                    self.store[tag] = [elem, PRE]
             elif record[0] is None:
                 record[0] = elem
             self._serve_pending(ctx, tag)
@@ -180,10 +185,7 @@ class CASServer(ServerProcess):
             tag = require_payload(message, "tag")
             record = self.store.get(tag)
             if record is None:
-                gc_done = self.gc_floor is not None and self._tag_key(
-                    tag
-                ) <= self._tag_key(self.gc_floor)
-                if not gc_done:
+                if not self._collected(tag):
                     self.store[tag] = [None, FIN]
             else:
                 record[1] = FIN
@@ -201,9 +203,7 @@ class CASServer(ServerProcess):
                     src,
                     Message.make("read-ack", ref=ref, tag=tag, elem=record[0]),
                 )
-            elif self.gc_floor is not None and self._tag_key(
-                tag
-            ) <= self._tag_key(self.gc_floor):
+            elif self._collected(tag):
                 ctx.send(src, Message.make("read-gc", ref=ref, tag=tag))
             else:
                 self.pending_readers.setdefault(tag, []).append((src, ref))
@@ -240,7 +240,7 @@ class CASServer(ServerProcess):
         return sum(1 for rec in self.store.values() if rec[0] is not None)
 
 
-class CASWriteClient(ClientProcess):
+class CASWriteClient(QuorumClient):
     """Three-phase CAS writer.
 
     With ``byzantine_budget=b > 0`` every phase waits for ``quorum + b``
@@ -252,6 +252,8 @@ class CASWriteClient(ClientProcess):
     dominates the max over the honest quorum inside it.
     """
 
+    PHASES = ("write/query", "write/pre-write", "write/finalize")
+
     def __init__(
         self,
         pid: str,
@@ -260,45 +262,20 @@ class CASWriteClient(ClientProcess):
         code: ReedSolomonCode,
         byzantine_budget: int = 0,
     ) -> None:
-        super().__init__(pid)
-        self.server_ids = server_ids
-        self.quorum = quorum
-        self.byzantine_budget = byzantine_budget
-        self.ack_target = quorum + byzantine_budget
+        super().__init__(pid, server_ids, quorum, byzantine_budget)
         self.code = code
-        self.phase = 0
-        self.phase_nonce = 0
-        self.responded: set = set()
         self.pending_value: Optional[int] = None
         self.max_tag: tuple = INITIAL_TAG.as_tuple()
         self.write_tag: Optional[tuple] = None
 
-    def _ref(self) -> tuple:
-        return (self.pid, self.phase_nonce)
-
-    def _new_phase(self) -> None:
-        self.phase_nonce += 1
-        self.responded = set()
-
     def start_write(self, ctx: ProcessContext, op_id: int, value: int) -> None:
         self.pending_value = value
         self.max_tag = INITIAL_TAG.as_tuple()
-        self.phase = 1
-        if ctx.obs:
-            ctx.obs.begin_span(self.pid, "write/query", ctx.step, op_id=op_id)
-        self._new_phase()
-        for sid in self.server_ids:
-            ctx.send(sid, Message.make("qf", ref=self._ref()))
-
-    def start_read(self, ctx: ProcessContext, op_id: int) -> None:
-        raise SimulationError("CAS write client cannot read")
+        self._enter(ctx, 1, "qf")
 
     def on_message(self, ctx: ProcessContext, src: str, message: Message) -> None:
-        if self.pending_op_id is None:
+        if not self._accept_ack(src, message):
             return
-        if message.get("ref") != self._ref() or src in self.responded:
-            return
-        self.responded.add(src)
         if self.phase == 1 and message.kind == "qf-ack":
             tag = message.get("tag")
             if Tag.from_tuple(tag) > Tag.from_tuple(self.max_tag):
@@ -307,40 +284,20 @@ class CASWriteClient(ClientProcess):
                 self.write_tag = (
                     Tag.from_tuple(self.max_tag).next_for(self.pid).as_tuple()
                 )
-                self.phase = 2
-                if ctx.obs:
-                    ctx.obs.end_span(self.pid, "write/query", ctx.step)
-                    ctx.obs.begin_span(self.pid, "write/pre-write", ctx.step)
-                self._new_phase()
                 # The single value-dependent phase: per-server coded symbols.
-                for i, sid in enumerate(self.server_ids):
-                    elem = self.code.encode_symbol(self.pending_value, i)
-                    ctx.send(
-                        sid,
-                        Message.make(
-                            "pre", ref=self._ref(), tag=self.write_tag, elem=elem
-                        ),
-                    )
+                elems = (
+                    self.code.encode_symbol(self.pending_value, i)
+                    for i in range(len(self.server_ids))
+                )
+                self._enter(ctx, 2, "pre", elems, tag=self.write_tag)
         elif self.phase == 2 and message.kind == "pre-ack":
             if len(self.responded) >= self.ack_target:
-                self.phase = 3
-                if ctx.obs:
-                    ctx.obs.end_span(self.pid, "write/pre-write", ctx.step)
-                    ctx.obs.begin_span(self.pid, "write/finalize", ctx.step)
-                self._new_phase()
-                for sid in self.server_ids:
-                    ctx.send(
-                        sid,
-                        Message.make("fin", ref=self._ref(), tag=self.write_tag),
-                    )
+                self._enter(ctx, 3, "fin", tag=self.write_tag)
         elif self.phase == 3 and message.kind == "fin-ack":
             if len(self.responded) >= self.ack_target:
-                self.phase = 0
                 self.pending_value = None
                 self.write_tag = None
-                if ctx.obs:
-                    ctx.obs.end_span(self.pid, "write/finalize", ctx.step)
-                self.finish(ctx)
+                self._finish(ctx)
 
     def state_digest(self) -> tuple:
         return (
@@ -354,7 +311,7 @@ class CASWriteClient(ClientProcess):
         )
 
 
-class CASReadClient(ClientProcess):
+class CASReadClient(QuorumClient):
     """Two-phase CAS reader with GC-retry.
 
     With ``byzantine_budget=b > 0`` the reader performs *validated
@@ -373,6 +330,8 @@ class CASReadClient(ClientProcess):
     the Byzantine price paid in code rate (the BKS duality).
     """
 
+    PHASES = ("read/query", "read/collect")
+
     def __init__(
         self,
         pid: str,
@@ -382,72 +341,38 @@ class CASReadClient(ClientProcess):
         max_retries: int = 100,
         byzantine_budget: int = 0,
     ) -> None:
-        super().__init__(pid)
-        self.server_ids = server_ids
+        super().__init__(pid, server_ids, quorum, byzantine_budget)
         self.server_index = {sid: i for i, sid in enumerate(server_ids)}
-        self.quorum = quorum
-        self.byzantine_budget = byzantine_budget
-        self.ack_target = quorum + byzantine_budget
         self.code = code
         self.max_retries = max_retries
-        self.phase = 0
-        self.phase_nonce = 0
-        self.responded: set = set()
         self.read_tag: tuple = INITIAL_TAG.as_tuple()
         self.elements: Dict[int, int] = {}
         self.retries = 0
         self.byz_detected = 0
 
-    def _ref(self) -> tuple:
-        return (self.pid, self.phase_nonce)
-
-    def _new_phase(self) -> None:
-        self.phase_nonce += 1
-        self.responded = set()
-
-    def _start_query(self, ctx: ProcessContext, op_id=None) -> None:
+    def _query(self, ctx: ProcessContext) -> None:
         self.read_tag = INITIAL_TAG.as_tuple()
         self.elements = {}
-        self.phase = 1
-        if ctx.obs:
-            ctx.obs.begin_span(self.pid, "read/query", ctx.step, op_id=op_id)
-        self._new_phase()
-        for sid in self.server_ids:
-            ctx.send(sid, Message.make("qf", ref=self._ref()))
+        self._enter(ctx, 1, "qf")
 
     def start_read(self, ctx: ProcessContext, op_id: int) -> None:
         self.retries = 0
-        self._start_query(ctx, op_id=op_id)
-
-    def start_write(self, ctx: ProcessContext, op_id: int, value: int) -> None:
-        raise SimulationError("CAS read client cannot write")
+        self._query(ctx)
 
     def on_message(self, ctx: ProcessContext, src: str, message: Message) -> None:
-        if self.pending_op_id is None:
-            return
-        if message.get("ref") != self._ref():
-            return
-        if self.phase == 1 and message.kind == "qf-ack":
-            if src in self.responded:
+        if self.phase == 1:
+            if message.kind != "qf-ack" or not self._accept_ack(src, message):
                 return
-            self.responded.add(src)
             tag = message.get("tag")
             if Tag.from_tuple(tag) > Tag.from_tuple(self.read_tag):
                 self.read_tag = tag
             if len(self.responded) >= self.ack_target:
-                self.phase = 2
-                if ctx.obs:
-                    ctx.obs.end_span(self.pid, "read/query", ctx.step)
-                    ctx.obs.begin_span(self.pid, "read/collect", ctx.step)
-                self._new_phase()
-                for sid in self.server_ids:
-                    ctx.send(
-                        sid,
-                        Message.make(
-                            "read-fin", ref=self._ref(), tag=self.read_tag
-                        ),
-                    )
-        elif self.phase == 2 and message.kind == "read-ack":
+                self._enter(ctx, 2, "read-fin", tag=self.read_tag)
+        # Elements are keyed by server, so a repeated reply (a channel
+        # duplicate) only overwrites: collecting checks the phase alone.
+        elif not self._current(message):
+            return
+        elif message.kind == "read-ack":
             if message.get("tag") != self.read_tag:
                 return
             self.elements[self.server_index[src]] = message.get("elem")
@@ -459,11 +384,8 @@ class CASReadClient(ClientProcess):
                 value = self.code.decode(self.elements)
             else:
                 return
-            self.phase = 0
-            if ctx.obs:
-                ctx.obs.end_span(self.pid, "read/collect", ctx.step)
-            self.finish(ctx, value)
-        elif self.phase == 2 and message.kind == "read-gc":
+            self._finish(ctx, value)
+        elif message.kind == "read-gc":
             # The tag we wanted was garbage-collected: a newer finalized
             # tag exists, so re-query.
             self.retries += 1
@@ -472,11 +394,10 @@ class CASReadClient(ClientProcess):
                     f"CAS reader {self.pid} exceeded {self.max_retries} GC retries"
                 )
             if ctx.obs:
-                ctx.obs.end_span(self.pid, "read/collect", ctx.step)
                 ctx.obs.registry.inc("cas.read_gc_retries")
-            # Keep the retried query attributed to the same operation,
-            # so per-op phase breakdowns include GC-forced re-queries.
-            self._start_query(ctx, op_id=self.pending_op_id)
+            # The re-query stays attributed to the same operation, so
+            # per-op phase breakdowns include GC-forced re-queries.
+            self._query(ctx)
 
     def _try_validated_decode(self, ctx: ProcessContext) -> Optional[int]:
         """Decode a ``k``-subset whose codeword explains ``>= k + b`` of

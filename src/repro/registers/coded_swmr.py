@@ -28,6 +28,7 @@ from typing import Dict, Optional, Tuple
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.errors import ConfigurationError, SimulationError
 from repro.registers.base import (
+    QuorumClient,
     SystemHandle,
     reader_id,
     server_id,
@@ -38,12 +39,7 @@ from repro.registers.cas import cas_code_for, cas_quorum_size
 from repro.registers.tags import INITIAL_TAG, Tag
 from repro.sim.events import Message
 from repro.sim.network import World
-from repro.sim.process import (
-    ClientProcess,
-    ProcessContext,
-    ServerProcess,
-    require_payload,
-)
+from repro.sim.process import ProcessContext, ServerProcess, require_payload
 
 
 class CodedServer(ServerProcess):
@@ -88,49 +84,29 @@ class CodedServer(ServerProcess):
         return len(self.store)
 
 
-class CodedSWMRWriter(ClientProcess):
+class CodedSWMRWriter(QuorumClient):
     """One-phase coded writer with a local sequence counter."""
+
+    PHASES = ("write/propagate",)
 
     def __init__(self, pid: str, server_ids: Tuple[str, ...], quorum: int,
                  code: ReedSolomonCode):
-        super().__init__(pid)
-        self.server_ids = server_ids
-        self.quorum = quorum
+        super().__init__(pid, server_ids, quorum)
         self.code = code
         self.seq = 0
-        self.phase_nonce = 0
-        self.responded: set = set()
-
-    def _ref(self) -> tuple:
-        return (self.pid, self.phase_nonce)
 
     def start_write(self, ctx: ProcessContext, op_id: int, value: int) -> None:
         self.seq += 1
-        self.phase_nonce += 1
-        self.responded = set()
-        tag = Tag(self.seq, self.pid).as_tuple()
-        for i, sid in enumerate(self.server_ids):
-            ctx.send(
-                sid,
-                Message.make(
-                    "cput",
-                    ref=self._ref(),
-                    tag=tag,
-                    elem=self.code.encode_symbol(value, i),
-                ),
-            )
-
-    def start_read(self, ctx: ProcessContext, op_id: int) -> None:
-        raise SimulationError("coded SWMR writer cannot read")
+        elems = (
+            self.code.encode_symbol(value, i) for i in range(len(self.server_ids))
+        )
+        self._enter(ctx, 1, "cput", elems, tag=Tag(self.seq, self.pid).as_tuple())
 
     def on_message(self, ctx: ProcessContext, src: str, message: Message) -> None:
-        if self.pending_op_id is None or message.kind != "cput-ack":
+        if message.kind != "cput-ack" or not self._accept_ack(src, message):
             return
-        if message.get("ref") != self._ref() or src in self.responded:
-            return
-        self.responded.add(src)
-        if len(self.responded) >= self.quorum:
-            self.finish(ctx)
+        if len(self.responded) >= self.ack_target:
+            self._finish(ctx)
 
     def state_digest(self) -> tuple:
         return (
@@ -141,30 +117,21 @@ class CodedSWMRWriter(ClientProcess):
         )
 
 
-class CodedSWMRReader(ClientProcess):
+class CodedSWMRReader(QuorumClient):
     """One-phase coded reader: highest decodable tag wins."""
+
+    PHASES = ("read/query",)
 
     def __init__(self, pid: str, server_ids: Tuple[str, ...], quorum: int,
                  code: ReedSolomonCode):
-        super().__init__(pid)
-        self.server_ids = server_ids
+        super().__init__(pid, server_ids, quorum)
         self.server_index = {sid: i for i, sid in enumerate(server_ids)}
-        self.quorum = quorum
         self.code = code
-        self.phase_nonce = 0
         self.responses: Dict[str, tuple] = {}
 
-    def _ref(self) -> tuple:
-        return (self.pid, self.phase_nonce)
-
     def start_read(self, ctx: ProcessContext, op_id: int) -> None:
-        self.phase_nonce += 1
         self.responses = {}
-        for sid in self.server_ids:
-            ctx.send(sid, Message.make("cget", ref=self._ref()))
-
-    def start_write(self, ctx: ProcessContext, op_id: int, value: int) -> None:
-        raise SimulationError("coded SWMR reader cannot write")
+        self._enter(ctx, 1, "cget")
 
     def _decode_latest(self) -> int:
         by_tag: Dict[tuple, Dict[int, int]] = {}
@@ -181,14 +148,11 @@ class CodedSWMRReader(ClientProcess):
         )
 
     def on_message(self, ctx: ProcessContext, src: str, message: Message) -> None:
-        if self.pending_op_id is None or message.kind != "cget-ack":
-            return
-        if message.get("ref") != self._ref() or src in self.responses:
+        if message.kind != "cget-ack" or not self._accept_ack(src, message):
             return
         self.responses[src] = message.get("versions")
-        if len(self.responses) >= self.quorum:
-            value = self._decode_latest()
-            self.finish(ctx, value)
+        if len(self.responded) >= self.ack_target:
+            self._finish(ctx, self._decode_latest())
 
     def state_digest(self) -> tuple:
         return (

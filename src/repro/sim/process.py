@@ -44,7 +44,7 @@ class ProcessContext:
     def obs(self):
         """The World's observer: ``None`` unless instrumentation is attached.
 
-        Protocol code emits phase spans through this, guarded by its
+        Register clients emit phase spans through this, guarded by its
         truth value: ``if ctx.obs: ctx.obs.begin_span(...)``.
         """
         return self._world.obs

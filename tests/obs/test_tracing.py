@@ -21,7 +21,7 @@ from repro.obs.tracing import (
     validate_trace_document,
 )
 from repro.parallel.pool import run_tasks
-from repro.registers.catalog import build_client_system
+from repro.registers.catalog import MULTI_WRITER, build_client_system
 
 
 def msg(kind="ping"):
@@ -186,8 +186,8 @@ CONFIG = FaultConfig(
 )
 
 
-def traced_run(num_ops=6):
-    handle = build_client_system("abd", 5, 1, 6)
+def traced_run(algorithm="abd", num_ops=6):
+    handle = build_client_system(algorithm, 5, 1, 6)
     tracer = TraceCollector()
     handle.world.obs = SimObserver(tracer=tracer)
     result = run_chaos_workload(handle, CONFIG, num_ops=num_ops, max_ticks=4000)
@@ -196,18 +196,24 @@ def traced_run(num_ops=6):
 
 class TestEndToEnd:
     def test_traced_chaos_run_narrates_everything(self):
-        handle, tracer, result = traced_run()
-        kinds = {e.kind for e in tracer.events}
-        assert {"send", "deliver", "invoke", "response", "crash", "recover",
-                "phase-begin", "phase-end", "storage"} <= kinds
-        # Every deliver's message edge points at a send event.
-        by_id = {e.event_id: e for e in tracer.events}
-        for e in tracer.events:
-            if e.kind == "deliver" and "send_id" in e.extra:
-                assert by_id[e.extra["send_id"]].kind == "send"
-        # Result carries the bounded tail.
-        assert result.trace_tail
-        assert len(result.trace_tail) <= 64
+        for algorithm in MULTI_WRITER:
+            handle, tracer, result = traced_run(algorithm)
+            kinds = {e.kind for e in tracer.events}
+            assert {"send", "deliver", "invoke", "response", "crash", "recover",
+                    "phase-begin", "phase-end", "storage"} <= kinds, algorithm
+            # Every deliver's message edge points at the send of that
+            # very message: same channel, same kind.
+            by_id = {e.event_id: e for e in tracer.events}
+            for e in tracer.events:
+                if e.kind == "deliver" and "send_id" in e.extra:
+                    send = by_id[e.extra["send_id"]]
+                    assert send.kind == "send", algorithm
+                    assert (send.src, send.dst, send.message_kind) == (
+                        e.src, e.dst, e.message_kind
+                    ), algorithm
+            # Result carries the bounded tail.
+            assert result.trace_tail, algorithm
+            assert len(result.trace_tail) <= 64, algorithm
 
     def test_capture_task_is_deterministic(self):
         payload = {

@@ -31,7 +31,11 @@ run).  A silent fallback to any per-step rescan fails it:
   sorted view ``enabled_channels`` makes 7,058);
 * ``repro.sim.scheduler`` builds one set per scheduler, 30: a
   partitioned step hands ``select`` the gate's set, which it probes in
-  place (a gate that returned a list made ``select`` build 1,437 more).
+  place (a gate that returned a list made ``select`` build 1,437 more);
+* ``repro.sim.events`` sorts 4,169 payloads for 6,433 sends: a client
+  phase that sends one body to every server builds it with one
+  ``Message.make`` (one per server sorted 6,433, one per send); coded
+  phases and server replies still build one each.
 
 The same seed's telemetry (a ``SimObserver`` per run with a bounded
 trace tail; the ``telemetry`` tests) does only the work its output
@@ -65,7 +69,9 @@ each delivery:
 * ``repro.sim.scheduler`` builds one set per scheduler, 24: each step
   hands the World's own non-empty set to ``select``, which probes it in
   place (copying the index and building a set from the copy at every
-  selection made 3,534).
+  selection made 3,534);
+* ``repro.sim.events`` sorts 2,262 payloads for 3,510 sends (one
+  ``Message.make`` per server of a uniform phase made 3,510).
 
 Schedule exploration, as ``repro explore`` runs it by default
 (SWMR-ABD, N=3, f=1, 2-bit values, write || read): 455 states, 4
@@ -172,6 +178,7 @@ import pytest
 import repro.consistency.atomicity as atomicity_module
 import repro.faults.campaign as campaign_module
 import repro.sim.clone as clone_module
+import repro.sim.events as events_module
 import repro.sim.network as network_module
 import repro.sim.scheduler as scheduler_module
 import repro.verification.explore as explore_module
@@ -271,6 +278,7 @@ def counts():
             (Gauge, "set", "gauge_sets", None),
             (TraceEvent, "__init__", "trace_events", None),
             (RoundRobinScheduler, "__init__", "schedulers", None),
+            (World, "enqueue_message", "sends", None),
         ):
             patch.setattr(
                 cls, attr, _counting(tally, name, cls.__dict__[attr], note)
@@ -286,6 +294,7 @@ def counts():
         )
         _count_sorts(patch, tally, scheduler_module, "scheduler_sorts")
         _count_sorts(patch, tally, network_module, "network_sorts")
+        _count_sorts(patch, tally, events_module, "message_sorts")
         patch.setattr(
             scheduler_module, "set",
             _counting(tally, "scheduler_sets", set), raising=False,
@@ -350,6 +359,11 @@ def test_channel_index_is_never_sorted(counts):
     assert counts["network_sorts"] <= counts["runs"]
 
 
+def test_broadcasts_sort_each_request_body_once(counts):
+    assert counts["sends"] == 6_433
+    assert counts["message_sorts"] == 4_169
+
+
 def test_telemetry_binds_instruments_once(counts):
     assert counts["registry_lookups"] <= 3_000
 
@@ -393,9 +407,11 @@ def figure1_counts():
             (ABDServer, "storage_bits", "storage_bits"),
             (CASServer, "storage_bits", "storage_bits"),
             (RoundRobinScheduler, "__init__", "schedulers"),
+            (World, "enqueue_message", "sends"),
         ):
             patch.setattr(cls, attr, _counting(tally, name, vars(cls)[attr]))
         _count_sorts(patch, tally, network_module, "network_sorts")
+        _count_sorts(patch, tally, events_module, "message_sorts")
         patch.setattr(
             scheduler_module, "set",
             _counting(tally, "scheduler_sets", set), raising=False,
@@ -426,6 +442,11 @@ def test_figure1_sorts_nothing_in_the_simulator(figure1_counts):
 def test_figure1_scheduler_builds_one_set_per_scheduler(figure1_counts):
     assert figure1_counts["schedulers"] == figure1_counts["points"] == 24
     assert figure1_counts["scheduler_sets"] == figure1_counts["schedulers"]
+
+
+def test_figure1_broadcasts_sort_each_request_body_once(figure1_counts):
+    assert figure1_counts["sends"] == 3_510
+    assert figure1_counts["message_sorts"] == 2_262
 
 
 def test_figure1_leaves_no_cyclic_garbage(figure1_counts):

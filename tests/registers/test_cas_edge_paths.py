@@ -2,13 +2,15 @@
 
 These paths need precise message timing that fair/random schedules
 rarely produce: the garbage-collection retry (a reader chasing a tag
-that servers pruned meanwhile) and the pending-reader forwarding (a
+that servers pruned meanwhile), the pending-reader forwarding (a
 reader asking for a finalized tag whose coded element has not yet
-arrived at a server).
+arrived at a server) and a pre-write that reaches a server after
+garbage collection pruned its tag.
 """
 
 from repro.registers.cas import build_cas_system
 from repro.registers.casgc import build_casgc_system
+from repro.sim.scheduler import ChannelFilter
 
 
 class TestGCRetryPath:
@@ -101,7 +103,36 @@ class TestPendingReaderPath:
         assert read_op.value == 222
 
 
-def _not_from(pid):
-    from repro.sim.scheduler import ChannelFilter
+class TestLatePreWrite:
+    def test_pre_write_of_a_collected_tag_is_acked_not_stored(self):
+        handle = build_casgc_system(
+            n=5, f=1, value_bits=12, gc_depth=0, num_writers=2
+        )
+        w = handle.world
+        first, second = handle.writer_ids
+        straggler = handle.server_ids[4]
+        hold = ChannelFilter(
+            lambda s, d: (s, d) != (first, straggler), "hold-first-to-straggler"
+        )
 
+        # The first write completes without the straggler; two more by
+        # the second writer finalize (3, second) everywhere, so the
+        # straggler (gc_depth=0) collects every tag up to (2, second).
+        handle.write(100, writer=first, channel_filter=hold)
+        handle.write(200, writer=second, channel_filter=hold)
+        handle.write(300, writer=second, channel_filter=hold)
+        w.deliver_all(hold)
+        straggler_proc = w.process(straggler)
+        assert straggler_proc.gc_floor == (2, second)
+
+        # The held qf, then the pre of the collected tag (1, first).
+        w.deliver(first, straggler)
+        w.deliver(first, straggler)
+        assert sorted(straggler_proc.store) == [(3, second)]
+        assert straggler_proc.stored_version_count() == 1
+        replies = w.channel(straggler, first).state_digest()
+        assert [kind for kind, _ in replies] == ["qf-ack", "pre-ack"]
+
+
+def _not_from(pid):
     return ChannelFilter(lambda s, d: s != pid, f"not-from({pid})")
